@@ -18,6 +18,7 @@
 #include "core/evaluation.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
+#include "smpi/simulation.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -38,10 +39,10 @@ inline double secondsSince(WallClock::time_point t) {
 // bench pool threads may still hold Simulations at exit) so every
 // Simulation any figure constructs records into it; the aggregate JSON
 // is written by an atexit handler so a bench needs no explicit teardown
-// call.  Without --profile no scope exists and every profiling hook is a
-// null-pointer check: stdout stays byte-identical.
-inline obs::ProfileScope*& benchProfileScope() {
-  static obs::ProfileScope* scope = nullptr;
+// call.  Without --profile no scope exists and every runtime event meets an
+// empty observer list: stdout stays byte-identical.
+inline smpi::ObserverScope*& benchProfileScope() {
+  static smpi::ObserverScope* scope = nullptr;
   return scope;
 }
 
@@ -51,7 +52,7 @@ inline std::string& benchProfilePath() {
 }
 
 inline void writeBenchProfile() {
-  obs::ProfileScope* scope = benchProfileScope();
+  smpi::ObserverScope* scope = benchProfileScope();
   if (scope == nullptr) return;
   std::vector<const obs::RunProfile*> profiles;
   for (const auto& prof : scope->profilers())
@@ -91,7 +92,8 @@ struct BenchOptions {
     o.profile = cli.get("profile", "");
     if (!o.profile.empty()) {
       benchProfilePath() = o.profile;
-      benchProfileScope() = new obs::ProfileScope();
+      benchProfileScope() =
+          new smpi::ObserverScope(smpi::ObserverScope::Attach::Profile);
       // Registered after the wall-clock handler, so it runs before it.
       std::atexit(+[] { writeBenchProfile(); });
     }

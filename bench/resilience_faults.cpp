@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   // observe without scheduling, so the s/step numbers are unchanged.
   {
     const auto breakdown = [&](const FaultConfig& fc) {
-      obs::ProfileScope scope;
+      smpi::ObserverScope scope(smpi::ObserverScope::Attach::Profile);
       s3dSecondsPerStep(fc, s3dRanks);
       for (const auto& prof : scope.profilers())
         if (prof->finalized()) return prof->profile();

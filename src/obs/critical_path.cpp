@@ -28,16 +28,20 @@
 #include <vector>
 
 #include "obs/profiler.hpp"
-#include "smpi/analysis/capture.hpp"
 #include "smpi/simulation.hpp"
 
 namespace bgp::obs {
 
+namespace {
+// Safety cap on critical-path segments; a walk that exceeds it stops and
+// reports the path incomplete.
+constexpr std::size_t kMaxPathSegments = 1u << 16;
+}  // namespace
+
 void Profiler::computeCriticalPath(const smpi::RunResult& result) {
   namespace an = bgp::smpi::analysis;
   CriticalPath& cp = profile_.critical;
-  const an::Capture* cap = sim_->capture();
-  const an::OpGraph& graph = cap->graph();
+  const an::OpGraph& graph = cap_->graph();
   net::System& sys = sim_->system();
   const net::TorusNetwork& torus = sys.torusNetwork();
   const net::TorusParams& tp = torus.params();
@@ -61,7 +65,7 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
 
   bool complete = true;
   while (t > 0.0) {
-    if (segs.size() >= options_.maxPathSegments) {
+    if (segs.size() >= kMaxPathSegments) {
       complete = false;
       break;
     }
@@ -101,48 +105,41 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
     }
 
     // Blocking wait.  Resolve the releasing op.
-    const smpi::OpState* rel = item->op;
-    const auto orec = rel ? ops_.find(rel) : ops_.end();
-    if (!rel || orec == ops_.end()) {
+    if (item->rec < 0) {
       emit(rank, item->begin, t, PathKind::Unattributed, "unknown release");
       t = item->begin;
       continue;
     }
+    const an::OpNode& self = graph.node(item->rec);
 
-    if (orec->second.kind == OpRec::Kind::Gate) {
-      const auto git = gates_.find(rel);
-      if (git == gates_.end() || git->second.done < 0 ||
-          git->second.lastArrival >= t) {
+    if (self.kind == smpi::OpKind::Coll) {
+      const an::GateRecord* g = graph.gateOf(item->rec);
+      if (g->done < 0 || g->lastArrival >= t) {
         emit(rank, item->begin, t, PathKind::Unattributed, "collective");
         t = item->begin;
         continue;
       }
-      const GateRec& g = git->second;
-      const char* name = collName(g.kind);
+      const char* name = collName(self.coll.kind);
       // The gate's span from its last arrival splits into the model's
       // zero-byte latency floor and the payload-dependent remainder.
-      double lat = sys.collectives().cost(g.kind, g.nranks, 0.0, g.dt,
-                                          g.fullPartition);
-      const double span = t - g.lastArrival;
+      double lat = sys.collectives().cost(self.coll.kind,
+                                          graph.comm(self.commId)->size, 0.0,
+                                          g->dt, self.commId == 0);
+      const double span = t - g->lastArrival;
       lat = std::min(std::max(lat, 0.0), span);
-      emit(rank, g.lastArrival + lat, t, PathKind::Serialization, name);
-      emit(rank, g.lastArrival, g.lastArrival + lat, PathKind::Latency, name);
-      const std::int32_t lastNode = graph.lastGateArrival(g.commId, g.seq);
+      emit(rank, g->lastArrival + lat, t, PathKind::Serialization, name);
+      emit(rank, g->lastArrival, g->lastArrival + lat, PathKind::Latency,
+           name);
+      const std::int32_t lastNode =
+          graph.lastGateArrival(self.commId, self.collSeq);
       if (lastNode >= 0) rank = graph.node(lastNode).world;
-      t = g.lastArrival;
+      t = g->lastArrival;
       continue;
     }
 
-    // Point-to-point.  Locate self and (if matched) the partner in the
-    // op-graph to find the causing issue.
-    const std::int32_t selfNode = cap->nodeIdOf(rel);
-    if (selfNode < 0) {
-      emit(rank, item->begin, t, PathKind::Unattributed, "p2p (uncaptured)");
-      t = item->begin;
-      continue;
-    }
-    const an::OpNode& self = graph.node(selfNode);
-    const bool relIsSend = orec->second.kind == OpRec::Kind::Send;
+    // Point-to-point.  Find the causing issue through the matched
+    // partner, if any.
+    const bool relIsSend = self.kind == smpi::OpKind::Send;
     double sendIssue = 0.0, recvPost = 0.0;
     int sendWorld = -1, recvWorld = -1;
     double bytes = 0.0;
@@ -253,33 +250,32 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
 
 double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
   namespace an = bgp::smpi::analysis;
-  const an::Capture* cap = sim_->capture();
-  const an::OpGraph& graph = cap->graph();
+  const an::OpGraph& graph = cap_->graph();
+  const auto& nodes = graph.nodes();
   const double eagerThresh = sim_->system().eagerThreshold();
   const int n = profile_.nranks;
 
-  // Per-p2p-op replay spec: the graph nodes whose (replayed) issue times
-  // gate it, and the measured cause->completion span.
+  // Per-p2p-record replay spec, indexed by node id: the graph nodes
+  // whose (replayed) issue times gate it, and the measured
+  // cause->completion span.
   struct P2pSpec {
-    std::int32_t sendNode = -1;
+    std::int32_t sendNode = -1;  // < 0: not replayable
     std::int32_t recvNode = -1;  // < 0: unmatched (eager fire-and-forget)
     bool eager = true;
     double span = 0.0;
   };
-  std::unordered_map<const smpi::OpState*, P2pSpec> p2p;
-  p2p.reserve(ops_.size());
-  for (const auto& [op, rec] : ops_) {
-    if (rec.kind == OpRec::Kind::Gate) continue;
-    if (rec.completion < 0) continue;  // never completed: never waited
-    const std::int32_t selfNode = cap->nodeIdOf(op);
-    if (selfNode < 0) continue;
-    const an::OpNode& self = graph.node(selfNode);
-    P2pSpec s;
-    if (self.kind == an::OpKind::Send) {
-      s.sendNode = selfNode;
+  std::vector<P2pSpec> p2p(nodes.size());
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    const an::OpNode& self = nodes[id];
+    if (self.kind != smpi::OpKind::Send && self.kind != smpi::OpKind::Recv)
+      continue;
+    if (self.completion < 0) continue;  // never completed: never waited
+    P2pSpec& s = p2p[id];
+    if (self.kind == smpi::OpKind::Send) {
+      s.sendNode = static_cast<std::int32_t>(id);
       s.recvNode = self.matched;
     } else {
-      s.recvNode = selfNode;
+      s.recvNode = static_cast<std::int32_t>(id);
       s.sendNode = self.matched;
     }
     if (s.sendNode < 0) continue;  // unmatched recv: cannot replay
@@ -289,10 +285,10 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
         s.eager ? graph.node(s.sendNode).time
                 : std::max(graph.node(s.sendNode).time,
                            graph.node(s.recvNode).time);
-    s.span = std::max(0.0, rec.completion - cause);
-    p2p.emplace(op, s);
+    s.span = std::max(0.0, self.completion - cause);
   }
 
+  // Completed gates, keyed by their record (first arrival node).
   struct GateReplay {
     int expected = 0;
     double duration = 0.0;
@@ -300,25 +296,27 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
     double maxArrival = 0.0;
     double done = -1.0;
   };
-  std::unordered_map<const smpi::OpState*, GateReplay> gatesR;
-  gatesR.reserve(gates_.size());
-  for (const auto& [op, g] : gates_) {
+  std::unordered_map<std::int32_t, GateReplay> gatesR;
+  for (const auto& [key, g] : graph.gates()) {
     if (g.duration < 0) continue;
-    gatesR.emplace(op, GateReplay{g.nranks, g.duration, 0, 0.0, -1.0});
+    gatesR.emplace(g.arrivals.front(),
+                   GateReplay{graph.comm(key.first)->size, g.duration, 0, 0.0,
+                              -1.0});
   }
 
   // Replayed issue time per graph node (p2p issues only), -1 = not yet.
   std::vector<double> newIssue(graph.nodes().size(), -1.0);
 
-  const auto completionOf = [&](const smpi::OpState* op, double& out) {
-    if (const auto git = gatesR.find(op); git != gatesR.end()) {
-      if (git->second.done < 0) return false;
+  const auto replayedCompletion = [&](std::int32_t rec, double& out) {
+    if (rec < 0) return false;
+    if (graph.node(rec).kind == smpi::OpKind::Coll) {
+      const auto git = gatesR.find(rec);
+      if (git == gatesR.end() || git->second.done < 0) return false;
       out = git->second.done;
       return true;
     }
-    const auto pit = p2p.find(op);
-    if (pit == p2p.end()) return false;
-    const P2pSpec& s = pit->second;
+    const P2pSpec& s = p2p[static_cast<std::size_t>(rec)];
+    if (s.sendNode < 0) return false;
     double cause;
     if (s.eager) {
       if (newIssue[static_cast<std::size_t>(s.sendNode)] < 0) return false;
@@ -348,15 +346,15 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
         if (it.kind == Item::Kind::Compute) {
           clock[ri] += zeroCompute ? 0.0 : (it.end - it.begin);
         } else if (it.kind == Item::Kind::Issue) {
-          if (const auto git = gatesR.find(it.op); git != gatesR.end()) {
+          if (graph.node(it.rec).kind != smpi::OpKind::Coll) {
+            newIssue[static_cast<std::size_t>(it.rec)] = clock[ri];
+          } else if (const auto git = gatesR.find(recordOf(it.rec));
+                     git != gatesR.end()) {
             GateReplay& g = git->second;
             ++g.arrived;
             g.maxArrival = std::max(g.maxArrival, clock[ri]);
             if (g.arrived >= g.expected)
               g.done = g.maxArrival + (zeroNetwork ? 0.0 : g.duration);
-          } else {
-            const std::int32_t node = cap->nodeIdOf(it.op);
-            if (node >= 0) newIssue[static_cast<std::size_t>(node)] = clock[ri];
           }
         } else {  // Block
           double until = clock[ri];
@@ -365,13 +363,13 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
             // Approximation: the replay resolves a waitAny against the
             // op that actually fired in the executed schedule.
             double c;
-            ok = it.op && completionOf(it.op, c);
+            ok = replayedCompletion(it.rec, c);
             if (ok) until = std::max(until, c);
           } else {
-            const auto& wl = waitOps_[ri];
+            const auto& wl = waitRecs_[ri];
             for (std::uint32_t k = 0; ok && k < it.waitCount; ++k) {
               double c;
-              if (!completionOf(wl[it.firstWait + k], c)) {
+              if (!replayedCompletion(wl[it.firstWait + k], c)) {
                 ok = false;
               } else {
                 until = std::max(until, c);

@@ -1,17 +1,21 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "obs/breakdown.hpp"
-#include "smpi/analysis/capture.hpp"
 #include "smpi/comm.hpp"
 #include "smpi/rank.hpp"
 #include "smpi/simulation.hpp"
 #include "support/expect.hpp"
 
 namespace bgp::obs {
+
+namespace {
+// Traffic histogram bin count; the bin width doubles (folding pairs)
+// whenever the run outgrows it.
+constexpr std::size_t kHistBins = 512;
+}  // namespace
 
 const char* toString(PathKind kind) {
   switch (kind) {
@@ -40,34 +44,47 @@ const char* Profiler::collName(net::CollKind kind) {
 }
 
 Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options)
-    : sim_(&sim), options_(options) {
+    : Observer(Stage::Profile),
+      sim_(&sim),
+      cap_(&sim.enableCapture()),
+      options_(options) {
+  cap_->setMaxOps(options_.maxOps);
   const auto n = static_cast<std::size_t>(sim.nranks());
   items_.resize(n);
-  waitOps_.resize(n);
+  waitRecs_.resize(n);
   open_.assign(n, OpenBlock{});
   overlap_.assign(n, 0.0);
   sites_.assign(n, std::string());
-  hist_.assign(std::max<std::size_t>(options_.histBins, 2), 0.0);
+  hist_.assign(kHistBins, 0.0);
   histBinSeconds_ = 1e-6;
   sim.system().torusNetwork().attachObserver(this);
 }
 
 Profiler::~Profiler() = default;
 
-const char* Profiler::opName(const smpi::OpState& op) const {
-  const auto it = gates_.find(&op);
-  if (it != gates_.end()) return collName(it->second.kind);
-  return op.what;  // "send" / "recv" / "collective"
+std::int32_t Profiler::recordOf(std::int32_t id) const {
+  if (id < 0) return -1;
+  const smpi::analysis::OpGraph& g = cap_->graph();
+  if (g.node(id).kind != smpi::OpKind::Coll) return id;
+  return g.gateOf(id)->arrivals.front();
+}
+
+sim::SimTime Profiler::completionOf(std::int32_t rec) const {
+  const smpi::analysis::OpGraph& g = cap_->graph();
+  if (g.node(rec).kind == smpi::OpKind::Coll) return g.gateOf(rec)->done;
+  return g.node(rec).completion;
 }
 
 Profiler::SiteAgg& Profiler::siteAgg(int rank, const char* op) {
   return siteAggs_[{siteOf(rank), std::string(op)}];
 }
 
+bool Profiler::detailed() const {
+  return !truncated_ && !cap_->graph().truncated();
+}
+
 void Profiler::checkBudget() {
-  if (truncated_) return;
-  if (ops_.size() >= options_.maxOps || itemCount_ >= options_.maxOps * 4)
-    truncated_ = true;
+  if (itemCount_ >= cap_->maxOps() * 4) truncated_ = true;
 }
 
 void Profiler::histAdd(sim::SimTime t, double bytes) {
@@ -91,66 +108,50 @@ void Profiler::histAdd(sim::SimTime t, double bytes) {
 
 // ---- runtime hooks ----------------------------------------------------------
 
-void Profiler::onP2pIssue(const smpi::Comm&, const smpi::Request& op,
-                          bool isSend, sim::SimTime now) {
+std::int32_t Profiler::addIssue(int rank, sim::SimTime now) {
+  // The capture saw this event first and appended the op's node.
+  const auto id = static_cast<std::int32_t>(cap_->graph().nodes().size() - 1);
+  items_[static_cast<std::size_t>(rank)].push_back(
+      Item{Item::Kind::Issue, now, now, id, 0, 0, false});
+  ++itemCount_;
+  checkBudget();
+  return id;
+}
+
+void Profiler::onIssue(const smpi::Comm&, const smpi::Request& op,
+                       sim::SimTime now) {
   const int rank = op->ownerWorld;
-  SiteAgg& agg = siteAgg(rank, isSend ? "send" : "recv");
+  SiteAgg& agg = siteAgg(rank, smpi::toString(op->kind));
   ++agg.count;
   agg.bytes += op->bytes;
   if (!detailed()) return;
-  ops_.emplace(op.get(),
-               OpRec{now, -1.0, op->bytes,
-                     isSend ? OpRec::Kind::Send : OpRec::Kind::Recv, false});
-  pinned_.push_back(op);
-  items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Issue, now, now, op.get(), 0, 0, false});
-  ++itemCount_;
+  const std::int32_t id = addIssue(rank, now);
   // Completion stamp: registered at issue, so it takes the OpState's
   // inline continuation slot (a profile-on-only cost; the awaiter's
   // continuation spills to the vector).
-  smpi::OpState* p = op.get();
-  p->onComplete([this, p] {
-    const auto it = ops_.find(p);
-    if (it != ops_.end() && it->second.completion < 0)
-      it->second.completion = sim_->engine().now();
+  op->onComplete([this, id] {
+    smpi::analysis::OpNode& n = cap_->graph().node(id);
+    if (n.completion < 0) n.completion = sim_->engine().now();
   });
-  checkBudget();
 }
 
-void Profiler::onCollArrival(const smpi::Comm& comm, const smpi::Request& op,
-                             net::CollKind kind, double bytes, int commRank,
-                             sim::SimTime now) {
+void Profiler::onGateArrive(const smpi::Comm& comm, const smpi::CollGate&,
+                            int commRank, const smpi::CollSig& sig,
+                            sim::SimTime now) {
   const int rank = comm.worldRank(commRank);
-  SiteAgg& agg = siteAgg(rank, collName(kind));
+  SiteAgg& agg = siteAgg(rank, collName(sig.kind));
   ++agg.count;
-  agg.bytes += bytes;
-  if (!detailed()) return;
-  const auto fresh =
-      ops_.emplace(op.get(), OpRec{now, -1.0, bytes, OpRec::Kind::Gate, false})
-          .second;
-  if (fresh) {
-    pinned_.push_back(op);
-    GateRec g;
-    g.commId = comm.id();
-    g.seq = op->collSeq;
-    g.nranks = comm.size();
-    g.fullPartition = comm.id() == 0;
-    g.kind = kind;
-    gates_.emplace(op.get(), g);
-  }
-  items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Issue, now, now, op.get(), 0, 0, false});
-  ++itemCount_;
-  checkBudget();
+  agg.bytes += sig.bytes;
+  if (detailed()) addIssue(rank, now);
 }
 
-void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::Request& op,
-                              net::CollKind kind, double bytes, net::Dtype dt,
-                              sim::SimTime lastArrival, double duration,
-                              sim::SimTime done) {
+void Profiler::onGateComplete(const smpi::Comm& comm,
+                              const smpi::CollGate& gate, double duration,
+                              sim::SimTime) {
+  const net::CollKind kind = gate.sig.kind;
   CollAgg& agg = collAggs_[kind];
   ++agg.gates;
-  agg.bytes += bytes;
+  agg.bytes += gate.bytes;
   agg.costSeconds += duration;
   const net::CollectiveModel& model = sim_->system().collectives();
   const bool full = comm.id() == 0;
@@ -161,97 +162,91 @@ void Profiler::onCollComplete(const smpi::Comm& comm, const smpi::Request& op,
   } else {
     ++agg.torusGates;
   }
-  if (!detailed()) return;
-  const auto git = gates_.find(op.get());
-  if (git == gates_.end()) return;
-  GateRec& g = git->second;
-  g.dt = dt;
-  g.bytes = bytes;
-  g.lastArrival = lastArrival;
-  g.duration = duration;
-  g.done = done;
-  const auto oit = ops_.find(op.get());
-  if (oit != ops_.end()) oit->second.completion = done;
 }
 
 void Profiler::onCompute(int rank, sim::SimTime now, double seconds) {
   if (!detailed()) return;
   items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Compute, now, now + seconds, nullptr, 0, 0, false});
+      Item{Item::Kind::Compute, now, now + seconds, -1, 0, 0, false});
   ++itemCount_;
   checkBudget();
 }
 
-void Profiler::onBlockBegin(int rank, sim::SimTime now, bool collective) {
-  (void)collective;  // breakdown classification comes from RankStats
+void Profiler::onBlockBegin(int rank, sim::SimTime now) {
   open_[static_cast<std::size_t>(rank)] = OpenBlock{now, true};
 }
 
-void Profiler::blockEnd(int rank, const std::vector<smpi::Request>& ops,
-                        const smpi::OpState* release, bool any,
-                        sim::SimTime now) {
+void Profiler::onWaitReturn(int rank, const std::vector<smpi::Request>& ops,
+                            std::size_t fired, sim::SimTime now) {
   OpenBlock& ob = open_[static_cast<std::size_t>(rank)];
   const sim::SimTime begin = ob.open ? ob.begin : now;  // ready-at-await: 0-wide
   ob.open = false;
+
+  std::vector<std::int32_t>& recs = scratch_;
+  recs.clear();
+  for (const auto& op : ops) recs.push_back(recordOf(cap_->idOf(rank, *op)));
+
+  // The releasing op: the one a waitAny fired, or for wait/waitAll the
+  // one that completed last (ties: the later list position — the engine
+  // resumed us off its continuation last).
+  const bool any = fired != kAllOps;
+  std::int32_t release = any ? recs[fired] : -1;
+  if (!any) {
+    sim::SimTime best = -1.0;
+    for (const std::int32_t rec : recs) {
+      if (rec < 0) continue;
+      const sim::SimTime c = completionOf(rec);
+      if (c >= 0 && c >= best) {
+        best = c;
+        release = rec;
+      }
+    }
+  }
 
   // Overlap actually achieved: for each waited op, the stretch between
   // its issue and the earlier of (block start, its completion) is time
   // the op progressed while the rank did other work.  Counted once per
   // op even across waitAny revisits.
-  for (const auto& op : ops) {
-    const auto it = ops_.find(op.get());
-    if (it == ops_.end()) continue;
-    OpRec& rec = it->second;
-    if (rec.completion < 0 || rec.overlapCounted) continue;
-    rec.overlapCounted = true;
-    const double ov = std::min(begin, rec.completion) - rec.issue;
+  for (const std::int32_t rec : recs) {
+    if (rec < 0) continue;
+    smpi::analysis::OpNode& n = cap_->graph().node(rec);
+    const sim::SimTime completion = completionOf(rec);
+    if (completion < 0 || n.overlapCounted) continue;
+    n.overlapCounted = true;
+    const double ov = std::min(begin, completion) - n.time;
     if (ov > 0) overlap_[static_cast<std::size_t>(rank)] += ov;
   }
 
   const double dur = now - begin;
   if (dur > 0) {
-    const char* name = release    ? opName(*release)
-                       : !ops.empty() ? ops.front()->what
-                                      : "op";
+    const smpi::analysis::OpNode* rel =
+        release >= 0 ? &cap_->graph().node(release) : nullptr;
+    const char* name =
+        rel ? (rel->kind == smpi::OpKind::Coll ? collName(rel->coll.kind)
+                                               : smpi::toString(rel->kind))
+            : smpi::toString(ops[any ? fired : 0]->kind);
     siteAgg(rank, name).blockedSeconds += dur;
   }
 
   if (!detailed()) return;
-  auto& wl = waitOps_[static_cast<std::size_t>(rank)];
+  auto& wl = waitRecs_[static_cast<std::size_t>(rank)];
   Item item;
   item.kind = Item::Kind::Block;
   item.begin = begin;
   item.end = now;
-  item.op = release;
+  item.rec = release;
   item.firstWait = static_cast<std::uint32_t>(wl.size());
-  item.waitCount = static_cast<std::uint32_t>(ops.size());
+  item.waitCount = static_cast<std::uint32_t>(recs.size());
   item.any = any;
-  for (const auto& op : ops) wl.push_back(op.get());
+  wl.insert(wl.end(), recs.begin(), recs.end());
   items_[static_cast<std::size_t>(rank)].push_back(item);
-  itemCount_ += 1 + ops.size();
+  itemCount_ += 1 + recs.size();
   checkBudget();
 }
 
-void Profiler::onBlockEnd(int rank, const std::vector<smpi::Request>& ops,
-                          sim::SimTime now) {
-  // The releasing op is the one that completed last (ties: the later
-  // list position — the engine resumed us off its continuation last).
-  const smpi::OpState* release = nullptr;
-  sim::SimTime best = -1.0;
-  for (const auto& op : ops) {
-    const auto it = ops_.find(op.get());
-    if (it == ops_.end() || it->second.completion < 0) continue;
-    if (it->second.completion >= best) {
-      best = it->second.completion;
-      release = op.get();
-    }
-  }
-  blockEnd(rank, ops, release, /*any=*/false, now);
-}
-
-void Profiler::onBlockEndAny(int rank, const std::vector<smpi::Request>& ops,
-                             std::size_t fired, sim::SimTime now) {
-  blockEnd(rank, ops, ops[fired].get(), /*any=*/true, now);
+void Profiler::onRunFinished(smpi::Simulation&,
+                             const smpi::RunResult& result) {
+  if (!finalized_) finalize(result);
 }
 
 // ---- net::TorusNetwork::LinkObserver ----------------------------------------
@@ -295,10 +290,9 @@ void Profiler::finalize(const smpi::RunResult& result) {
   BGP_REQUIRE_MSG(!finalized_, "Profiler::finalize called twice");
   RunProfile& p = profile_;
   const int n = sim_->nranks();
-  const smpi::analysis::Capture* cap = sim_->capture();
   p.nranks = n;
   p.makespan = result.makespan;
-  p.truncated = truncated_ || !cap || cap->graph().truncated();
+  p.truncated = !detailed();
   p.engine.events = result.events;
   p.engine.peakPending = sim_->engine().peakPending();
 
@@ -413,18 +407,16 @@ void Profiler::finalize(const smpi::RunResult& result) {
 
   // Critical path + what-ifs need the full op record and the capture's
   // happens-before edges; both are unavailable once truncated.
-  if (!p.truncated && cap) {
+  if (!p.truncated) {
     computeCriticalPath(result);
     computeWhatIf(result);
   }
 
   // Release the detailed state; only the assembled RunProfile survives.
   sim_->system().torusNetwork().attachObserver(nullptr);
-  ops_.clear();
-  gates_.clear();
-  pinned_.clear();
   items_.clear();
-  waitOps_.clear();
+  waitRecs_.clear();
+  scratch_.clear();
   open_.clear();
   overlap_.clear();
   sites_.clear();
@@ -437,26 +429,7 @@ void Profiler::finalize(const smpi::RunResult& result) {
   hist_.clear();
   finalized_ = true;
   sim_ = nullptr;
-}
-
-// ---- ProfileScope -----------------------------------------------------------
-
-namespace {
-std::atomic<ProfileScope*> gActiveProfileScope{nullptr};
-}  // namespace
-
-ProfileScope::ProfileScope(ProfileOptions options) : options_(options) {
-  prev_ = gActiveProfileScope.exchange(this);
-}
-
-ProfileScope::~ProfileScope() { gActiveProfileScope.store(prev_); }
-
-ProfileScope* ProfileScope::active() { return gActiveProfileScope.load(); }
-
-Profiler& ProfileScope::attach(smpi::Simulation& sim) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  profilers_.push_back(std::make_unique<Profiler>(sim, options_));
-  return *profilers_.back();
+  cap_ = nullptr;
 }
 
 // ---- SiteLabel --------------------------------------------------------------

@@ -1,92 +1,76 @@
 #pragma once
-// The profiling plane: null-guard zero-cost observation of one
-// Simulation (the same pattern as smpi/analysis/capture — every runtime
-// hook sits behind `if (profiler_)` and never schedules events, so a
-// profile-off run is byte-identical to a build without this module, and
-// a profile-on run produces identical simulated timings).
+// The profiling plane: an smpi::Observer at the Profile stage (see
+// smpi/observer.hpp).  It never schedules events, so a profile-on run
+// produces identical simulated timings, and a profile-off run pays one
+// emptiness check per runtime event.
 //
 // Three ways to turn it on:
 //  * Simulation::enableProfile() — programs that own their Simulation;
-//  * ProfileScope — RAII scope that profiles EVERY Simulation
-//    constructed while it is alive, process-wide (unlike the
-//    thread-local CaptureScope: the bench harness runs scenarios on a
-//    thread pool, and --profile must see all of them);
-//  * tools/bgpprof — wraps the scenario registry in a ProfileScope.
+//  * smpi::ObserverScope(Attach::Profile) — profiles EVERY Simulation
+//    constructed while it is alive, process-wide;
+//  * tools/bgpprof — wraps the scenario registry in such a scope.
 //
-// Profiling implies capture: the critical-path walk and the what-if
-// replays reuse the happens-before edges (message matches, gate
-// arrivals) that smpi/analysis/op_graph records, so enabling a profiler
-// on a Simulation without a capture auto-creates one.
+// The profiler keeps no per-op table of its own: issue and completion
+// times, sizes, matches and gate costs live in the analysis capture's
+// op-graph, which every profiled Simulation carries ahead of the profiler
+// in its observer list.  The critical-path walk and the what-if replays
+// reuse the same graph's happens-before edges.
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/collective_model.hpp"
 #include "net/torus_network.hpp"
 #include "obs/profile.hpp"
-#include "smpi/types.hpp"
+#include "smpi/analysis/capture.hpp"
+#include "smpi/observer.hpp"
 
 namespace bgp::smpi {
-class Comm;
 class Rank;
-class Simulation;
-}  // namespace bgp::smpi
+}
 
 namespace bgp::obs {
 
 struct ProfileOptions {
-  /// Stop detailed (per-op / per-item) recording past this many ops; the
-  /// profile is marked truncated and loses the critical path and
-  /// what-ifs, but breakdowns and counters stay exact.
-  std::size_t maxOps = 1u << 20;
+  /// Op budget of the profiled run's record (op-graph nodes; timeline
+  /// items get four times as many).  Past it the profile is marked
+  /// truncated and loses the critical path and what-ifs, but breakdowns
+  /// and counters stay exact.
+  std::size_t maxOps = smpi::analysis::kDefaultMaxOps;
   /// Hot links reported (top-K by busy time).
   int topK = 10;
-  /// Traffic histogram bin count; the bin width doubles (folding pairs)
-  /// whenever the run outgrows it.
-  std::size_t histBins = 512;
-  /// Safety cap on critical-path segments; a walk that exceeds it stops
-  /// and reports the path incomplete.
-  std::size_t maxPathSegments = 1u << 16;
 };
 
-class Profiler final : public net::TorusNetwork::LinkObserver {
+class Profiler final : public smpi::Observer,
+                       public net::TorusNetwork::LinkObserver {
  public:
-  /// Attaches to `sim` (wires itself as the torus network's link
-  /// observer).  `sim` must outlive every hook call; finalize() severs
-  /// the connection, after which only profile() remains valid.
+  /// Attaches to `sim`: enables its capture (the record this profiler
+  /// reads), sizes the capture's budget from `options`, and wires itself
+  /// as the torus network's link observer.  The caller attaches the
+  /// profiler to `sim`'s observer list.  `sim` must outlive every event;
+  /// finalize() severs the connection, after which only profile()
+  /// remains valid.
   Profiler(smpi::Simulation& sim, ProfileOptions options);
   ~Profiler() override;
-  Profiler(const Profiler&) = delete;
-  Profiler& operator=(const Profiler&) = delete;
 
-  // ---- runtime hooks (called by Simulation/Rank when enabled) ----------
-  void onP2pIssue(const smpi::Comm& comm, const smpi::Request& op,
-                  bool isSend, sim::SimTime now);
-  void onCollArrival(const smpi::Comm& comm, const smpi::Request& op,
-                     net::CollKind kind, double bytes, int commRank,
-                     sim::SimTime now);
-  /// The gate's last member arrived; `duration` is the modeled cost and
-  /// `done` = lastArrival + duration is when every member resumes.
-  void onCollComplete(const smpi::Comm& comm, const smpi::Request& op,
-                      net::CollKind kind, double bytes, net::Dtype dt,
-                      sim::SimTime lastArrival, double duration,
-                      sim::SimTime done);
-  void onCompute(int rank, sim::SimTime now, double seconds);
-  /// The rank suspended on a wait (only called when it actually blocks).
-  void onBlockBegin(int rank, sim::SimTime now, bool collective);
-  /// A wait/waitAll returned `ops`; called from await_resume whether or
-  /// not the rank suspended (a ready-at-await wait is a zero-width
-  /// block, which still matters to the what-if dependency replay).
-  void onBlockEnd(int rank, const std::vector<smpi::Request>& ops,
-                  sim::SimTime now);
-  /// A waitAny returned ops[fired].
-  void onBlockEndAny(int rank, const std::vector<smpi::Request>& ops,
-                     std::size_t fired, sim::SimTime now);
+  // ---- smpi::Observer --------------------------------------------------
+  void onIssue(const smpi::Comm& comm, const smpi::Request& op,
+               sim::SimTime now) override;
+  void onGateArrive(const smpi::Comm& comm, const smpi::CollGate& gate,
+                    int commRank, const smpi::CollSig& sig,
+                    sim::SimTime now) override;
+  void onGateComplete(const smpi::Comm& comm, const smpi::CollGate& gate,
+                      double duration, sim::SimTime done) override;
+  void onCompute(int rank, sim::SimTime now, double seconds) override;
+  void onBlockBegin(int rank, sim::SimTime now) override;
+  /// A ready-at-await wait is a zero-width block, which still matters to
+  /// the what-if dependency replay.
+  void onWaitReturn(int rank, const std::vector<smpi::Request>& ops,
+                    std::size_t fired, sim::SimTime now) override;
+  void onRunFinished(smpi::Simulation& sim,
+                     const smpi::RunResult& result) override;
 
   // ---- net::TorusNetwork::LinkObserver ---------------------------------
   void onLinkClaim(topo::LinkId link, sim::SimTime claim, double serSeconds,
@@ -98,47 +82,27 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   /// returns the previous label.  Prefer the SiteLabel RAII guard.
   std::string setSite(int rank, std::string label);
 
-  /// Assembles the RunProfile.  Called by Simulation::run() on success
-  /// (while the Simulation is still alive); releases all detailed state.
+  /// Assembles the RunProfile (run by onRunFinished while the Simulation
+  /// is still alive); releases all detailed state.
   void finalize(const smpi::RunResult& result);
   bool finalized() const { return finalized_; }
   const RunProfile& profile() const { return profile_; }
-  const ProfileOptions& options() const { return options_; }
 
  private:
   // One recorded timeline item.  Per rank, items append in program order
   // (a rank is sequential), which the critical-path walk and the what-if
-  // replay both rely on.
+  // replay both rely on.  `rec` is an op-graph node id (-1 = none): for
+  // Issue the rank's own send/recv/arrival node, for Block the record of
+  // the op that released the wait.
   struct Item {
     enum class Kind : std::uint8_t { Compute, Block, Issue };
     Kind kind = Kind::Issue;
     sim::SimTime begin = 0.0;
-    sim::SimTime end = 0.0;              // Compute/Block only
-    const smpi::OpState* op = nullptr;   // Issue: the op; Block: releaser
-    std::uint32_t firstWait = 0;         // Block: slice into waitOps_
+    sim::SimTime end = 0.0;        // Compute/Block only
+    std::int32_t rec = -1;
+    std::uint32_t firstWait = 0;   // Block: slice into waitRecs_
     std::uint32_t waitCount = 0;
-    bool any = false;                    // Block came from a waitAny
-  };
-
-  struct OpRec {
-    sim::SimTime issue = 0.0;
-    sim::SimTime completion = -1.0;  // < 0: never completed / still open
-    double bytes = 0.0;
-    enum class Kind : std::uint8_t { Send, Recv, Gate } kind = Kind::Send;
-    bool overlapCounted = false;
-  };
-
-  struct GateRec {
-    int commId = -1;
-    std::uint64_t seq = 0;
-    int nranks = 0;
-    bool fullPartition = false;
-    net::CollKind kind{};
-    net::Dtype dt{};
-    double bytes = 0.0;
-    sim::SimTime lastArrival = -1.0;
-    double duration = -1.0;  // < 0: gate never completed
-    sim::SimTime done = -1.0;
+    bool any = false;              // Block came from a waitAny
   };
 
   struct SiteAgg {
@@ -156,22 +120,26 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
     std::uint64_t torusGates = 0;
   };
 
-  /// Detailed recording is on until the op/item budget trips.
-  bool detailed() const { return !truncated_; }
+  /// Detailed recording is on until the shared op budget trips.
+  bool detailed() const;
   void checkBudget();
+  /// Appends an Issue item for the node the capture just recorded.
+  std::int32_t addIssue(int rank, sim::SimTime now);
   const std::string& siteOf(int rank) const {
     return sites_[static_cast<std::size_t>(rank)];
   }
   SiteAgg& siteAgg(int rank, const char* op);
   void histAdd(sim::SimTime t, double bytes);
-  const char* opName(const smpi::OpState& op) const;
   /// Stable lowercase collective-kind name ("allreduce", ...).
   static const char* collName(net::CollKind kind);
 
-  /// Closes the open block (if any) on `rank`, computes overlap for the
-  /// waited ops, picks the releasing op, and appends the Block item.
-  void blockEnd(int rank, const std::vector<smpi::Request>& ops,
-                const smpi::OpState* release, bool any, sim::SimTime now);
+  // ---- reading the shared record ----------------------------------------
+  /// The record standing for op-graph node `id`: itself for a send/recv,
+  /// the gate's first arrival for a collective arrival (a gate has one
+  /// issue, completion and overlap flag for all members).  -1 stays -1.
+  std::int32_t recordOf(std::int32_t id) const;
+  /// Completion time of record `rec` (< 0: not completed).
+  sim::SimTime completionOf(std::int32_t rec) const;
 
   // ---- finalize stages (critical_path.cpp) -----------------------------
   void computeCriticalPath(const smpi::RunResult& result);
@@ -181,16 +149,15 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   /// dependency could not be resolved.
   double replay(bool zeroNetwork, bool zeroCompute) const;
 
-  smpi::Simulation* sim_;  // null after finalize()
+  smpi::Simulation* sim_;        // null after finalize()
+  smpi::analysis::Capture* cap_;  // sim_'s capture: the per-op record
   ProfileOptions options_;
   bool truncated_ = false;
   bool finalized_ = false;
 
-  std::unordered_map<const smpi::OpState*, OpRec> ops_;
-  std::unordered_map<const smpi::OpState*, GateRec> gates_;
-  std::vector<smpi::Request> pinned_;  // keep arena addresses unique
   std::vector<std::vector<Item>> items_;            // per rank
-  std::vector<std::vector<const smpi::OpState*>> waitOps_;  // per rank
+  std::vector<std::vector<std::int32_t>> waitRecs_;  // per rank
+  std::vector<std::int32_t> scratch_;               // onWaitReturn records
   std::size_t itemCount_ = 0;
 
   struct OpenBlock {
@@ -215,39 +182,6 @@ class Profiler final : public net::TorusNetwork::LinkObserver {
   double histBinSeconds_;
 
   RunProfile profile_;
-};
-
-/// Process-global RAII profile scope: while alive, every Simulation
-/// constructed anywhere in the process records into a Profiler owned by
-/// the scope (the bench harness builds Simulations on pool threads, so a
-/// thread-local scope would miss them).  Scopes nest, innermost wins;
-/// construct and destroy scopes from one thread at a time.
-class ProfileScope {
- public:
-  explicit ProfileScope(ProfileOptions options = {});
-  ~ProfileScope();
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-
-  /// The innermost live scope, or null.
-  static ProfileScope* active();
-
-  /// Called by Simulation's constructor (thread-safe); returns the
-  /// Profiler the new Simulation must record into.
-  Profiler& attach(smpi::Simulation& sim);
-
-  /// One Profiler per Simulation constructed under the scope.  The
-  /// construction order is thread-schedule dependent under the bench
-  /// pool; exporters sort by profile content, not by this order.
-  const std::vector<std::unique_ptr<Profiler>>& profilers() const {
-    return profilers_;
-  }
-
- private:
-  ProfileOptions options_;
-  ProfileScope* prev_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Profiler>> profilers_;
 };
 
 /// RAII call-site label, the mpiP aggregation key:

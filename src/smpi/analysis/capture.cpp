@@ -5,15 +5,16 @@
 
 namespace bgp::smpi::analysis {
 
-Capture::Capture(int nranks, CaptureOptions options)
-    : options_(options),
+Capture::Capture(int nranks)
+    : Observer(Stage::Record),
       graph_(nranks),
-      rankSeq_(static_cast<std::size_t>(nranks), 0) {
+      rankSeq_(static_cast<std::size_t>(nranks), 0),
+      lastArrival_(static_cast<std::size_t>(nranks), -1) {
   BGP_REQUIRE(nranks > 0);
 }
 
 bool Capture::full() {
-  if (graph_.nodes().size() < options_.maxOps) return false;
+  if (graph_.nodes().size() < maxOps_) return false;
   graph_.markTruncated();
   return true;
 }
@@ -28,134 +29,105 @@ void Capture::noteComm(const Comm& comm) {
   graph_.noteComm(comm.id(), std::move(info));
 }
 
-std::int32_t Capture::nodeOf(const OpState* op) const {
-  const auto it = byOp_.find(op);
-  return it == byOp_.end() ? -1 : it->second;
+std::int32_t Capture::add(OpNode n) {
+  n.rankSeq = rankSeq_[static_cast<std::size_t>(n.world)]++;
+  return graph_.add(std::move(n));
 }
 
-void Capture::onSend(const Comm& comm, const Request& op, sim::SimTime now) {
+std::int32_t Capture::idOf(int world, const OpState& op) const {
+  if (op.kind != OpKind::Coll) {
+    const auto it = byOp_.find(&op);
+    return it == byOp_.end() ? -1 : it->second;
+  }
+  // The shared gate op has no byOp_ entry; find this rank's arrival.
+  const std::int32_t last = lastArrival_[static_cast<std::size_t>(world)];
+  if (last >= 0) {
+    const OpNode& a = graph_.node(last);
+    if (a.commId == op.commId && a.collSeq == op.collSeq) return last;
+  }
+  // The rank joined another gate since this one: scan its arrivals.
+  if (const GateRecord* g = graph_.gate(op.commId, op.collSeq))
+    for (const std::int32_t a : g->arrivals)
+      if (graph_.node(a).world == world) return a;
+  return -1;
+}
+
+void Capture::onIssue(const Comm& comm, const Request& op, sim::SimTime now) {
   if (full()) return;
   noteComm(comm);
   OpNode n;
-  n.kind = OpKind::Send;
+  n.kind = op->kind;
   n.world = op->ownerWorld;
-  n.rankSeq = rankSeq_[static_cast<std::size_t>(n.world)]++;
   n.commId = comm.id();
   n.commRank = comm.commRankOf(n.world);
-  n.peer = op->peer;
-  n.tag = op->tag;
+  n.peer = op->peer;  // Recv: may be kAnySource
+  n.tag = op->tag;    // Recv: may be kAnyTag
   n.bytes = op->bytes;
-  n.time = now;
-  const auto id = graph_.add(std::move(n));
-  byOp_.emplace(op.get(), id);
-  pinned_.push_back(op);
-}
-
-void Capture::onRecv(const Comm& comm, const Request& op, sim::SimTime now) {
-  if (full()) return;
-  noteComm(comm);
-  OpNode n;
-  n.kind = OpKind::Recv;
-  n.world = op->ownerWorld;
-  n.rankSeq = rankSeq_[static_cast<std::size_t>(n.world)]++;
-  n.commId = comm.id();
-  n.commRank = comm.commRankOf(n.world);
-  n.peer = op->peer;  // may be kAnySource
-  n.tag = op->tag;    // may be kAnyTag
   n.expectedBytes = op->expectedBytes;
   n.time = now;
-  const auto id = graph_.add(std::move(n));
-  byOp_.emplace(op.get(), id);
+  byOp_.emplace(op.get(), add(std::move(n)));
   pinned_.push_back(op);
 }
 
-void Capture::onCollective(const Comm& comm, std::uint64_t seq, int commRank,
-                           net::CollKind kind, int root, ReduceOp rop,
-                           net::Dtype dt, double bytes, sim::SimTime now) {
+void Capture::onGateArrive(const Comm& comm, const CollGate& gate,
+                           int commRank, const CollSig& sig,
+                           sim::SimTime now) {
   if (full()) return;
   noteComm(comm);
   OpNode n;
   n.kind = OpKind::Coll;
   n.world = comm.worldRank(commRank);
-  n.rankSeq = rankSeq_[static_cast<std::size_t>(n.world)]++;
   n.commId = comm.id();
   n.commRank = commRank;
-  n.collKind = kind;
-  n.collSeq = seq;
-  n.collRoot = root;
-  n.collRop = rop;
-  n.collDt = dt;
-  n.bytes = bytes;
+  n.coll = sig;
+  n.collSeq = gate.op->collSeq;
   n.time = now;
-  const auto id = graph_.add(std::move(n));
-  graph_.addGateArrival(comm.id(), seq, id);
+  const int world = n.world;
+  const auto id = add(std::move(n));
+  graph_.addGateArrival(comm.id(), gate.op->collSeq, id);
+  lastArrival_[static_cast<std::size_t>(world)] = id;
 }
 
-void Capture::onMatch(const Request& sendOp, const Request& recvOp) {
-  const std::int32_t s = nodeOf(sendOp.get());
-  const std::int32_t r = nodeOf(recvOp.get());
+void Capture::onGateComplete(const Comm& comm, const CollGate& gate,
+                             double duration, sim::SimTime done) {
+  GateRecord* g = graph_.gate(comm.id(), gate.op->collSeq);
+  if (!g) return;  // opened after the budget hit
+  g->dt = gate.sig.dt;
+  g->bytes = gate.bytes;
+  g->lastArrival = gate.lastArrival;
+  g->duration = duration;
+  g->done = done;
+}
+
+void Capture::onMatch(const Comm&, const Request& sendOp,
+                      const Request& recvOp) {
+  const std::int32_t s = idOf(sendOp->ownerWorld, *sendOp);
+  const std::int32_t r = idOf(recvOp->ownerWorld, *recvOp);
   if (s < 0 || r < 0) return;  // one side recorded after the budget hit
   graph_.node(s).matched = r;
   graph_.node(r).matched = s;
 }
 
-std::int32_t Capture::addWaitNode(int world, sim::SimTime now) {
-  OpNode n;
-  n.kind = OpKind::Wait;
-  n.world = world;
-  n.rankSeq = rankSeq_[static_cast<std::size_t>(world)]++;
-  n.time = now;
-  return graph_.add(std::move(n));
-}
-
-void Capture::onWait(int world, const std::vector<Request>& ops,
-                     sim::SimTime now) {
+void Capture::onWaitReturn(int world, const std::vector<Request>& ops,
+                           std::size_t fired, sim::SimTime now) {
   if (full()) return;
-  const std::int32_t wid = addWaitNode(world, now);
-  OpNode& w = graph_.node(wid);
-  for (const Request& op : ops) {
-    std::int32_t id = -1;
-    if (op->what[0] == 'c') {  // "collective": shared gate op, no byOp_ entry
-      if (const auto* arrivals =
-              graph_.gateArrivals(op->commId, op->collSeq)) {
-        for (const std::int32_t a : *arrivals)
-          if (graph_.node(a).world == world) {
-            id = a;
-            break;
-          }
-      }
-    } else {
-      id = nodeOf(op.get());
-    }
-    if (id < 0) continue;
-    w.waited.push_back(id);
+  OpNode w;
+  w.kind = OpKind::Wait;
+  w.world = world;
+  w.time = now;
+  const std::int32_t wid = add(std::move(w));
+  const auto waitOn = [&](const OpState& op) {
+    const std::int32_t id = idOf(world, op);
+    if (id < 0) return;
+    graph_.node(wid).waited.push_back(id);
     OpNode& target = graph_.node(id);
     if (target.waitedAt < 0) target.waitedAt = wid;
+  };
+  if (fired == kAllOps) {
+    for (const Request& op : ops) waitOn(*op);
+  } else {
+    waitOn(*ops[fired]);
   }
-}
-
-void Capture::onWaitOne(int world, const Request& op, sim::SimTime now) {
-  onWait(world, {op}, now);
-}
-
-// ---- CaptureScope ---------------------------------------------------------
-
-namespace {
-thread_local CaptureScope* tlsActiveScope = nullptr;
-}  // namespace
-
-CaptureScope::CaptureScope(CaptureOptions options)
-    : options_(options), prev_(tlsActiveScope) {
-  tlsActiveScope = this;
-}
-
-CaptureScope::~CaptureScope() { tlsActiveScope = prev_; }
-
-CaptureScope* CaptureScope::active() { return tlsActiveScope; }
-
-Capture& CaptureScope::attach(int nranks) {
-  captures_.push_back(std::make_unique<Capture>(nranks, options_));
-  return *captures_.back();
 }
 
 }  // namespace bgp::smpi::analysis

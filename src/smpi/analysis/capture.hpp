@@ -5,116 +5,78 @@
 // Two ways to turn it on:
 //  * Simulation::enableCapture() — for programs that own their
 //    Simulation (tests, custom drivers);
-//  * CaptureScope — an RAII scope that captures EVERY Simulation
-//    constructed on the current thread while it is alive.  This is how
-//    tools/smpilint wraps existing scenario entry points (runHalo,
-//    runPop, runCommTests, ...) without changing their signatures: the
-//    scope outlives the Simulations and keeps their op-graphs.
+//  * smpi::ObserverScope — an RAII scope that captures EVERY Simulation
+//    constructed while it is alive.  This is how tools/smpilint wraps
+//    existing scenario entry points (runHalo, runPop, runCommTests, ...)
+//    without changing their signatures: the scope outlives the
+//    Simulations and keeps their op-graphs.
 //
-// Capture is strictly observational: hooks fire from existing runtime
-// code paths behind a null check and never schedule events, so a
-// capture-off run is byte-identical to a build without this module, and
-// a capture-on run produces the same simulated timings as capture-off.
+// The capture is the runtime's one per-op record: an smpi::Observer at
+// the Record stage, so it sees every event before the profiler (which
+// reads the node just appended) and the verifier (whose fail-fast abort
+// must not hide the arrival from the analyzer).  It never schedules
+// events, so a captured run produces the same simulated timings as an
+// uncaptured one.
 //
 // Cost when on: one OpNode per send/recv/collective-arrival/wait plus a
 // pinned Request per p2p op (pinning keeps arena-recycled OpState
 // addresses unique for the lifetime of the capture).  A run that exceeds
-// CaptureOptions::maxOps stops recording and marks the graph truncated —
+// the op budget stops recording and marks the graph truncated —
 // reported, never silent.
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "smpi/analysis/op_graph.hpp"
-#include "smpi/types.hpp"
-
-namespace bgp::smpi {
-class Comm;
-}
+#include "smpi/observer.hpp"
 
 namespace bgp::smpi::analysis {
 
-struct CaptureOptions {
-  /// Stop recording past this many graph nodes (the graph is marked
-  /// truncated).  Sized for lint-scale scenario runs, not 131k-rank
-  /// production sweeps.
-  std::size_t maxOps = 4u << 20;
-};
+/// Default op budget (graph nodes), sized for lint- and profile-scale
+/// runs.  A profiler sets its capture's budget from ProfileOptions.
+inline constexpr std::size_t kDefaultMaxOps = 4u << 20;
 
-class Capture {
+class Capture final : public Observer {
  public:
-  Capture(int nranks, CaptureOptions options);
+  explicit Capture(int nranks);
 
-  // ---- runtime hooks (called by Simulation/Rank when enabled) ----------
-  void onSend(const Comm& comm, const Request& op, sim::SimTime now);
-  void onRecv(const Comm& comm, const Request& op, sim::SimTime now);
-  void onCollective(const Comm& comm, std::uint64_t seq, int commRank,
-                    net::CollKind kind, int root, ReduceOp rop,
-                    net::Dtype dt, double bytes, sim::SimTime now);
-  /// A send was matched to a receive (eager delivery, RTS arrival, or a
-  /// receive finding a staged message).
-  void onMatch(const Request& sendOp, const Request& recvOp);
-  /// A wait/waitAll returned `ops` to world rank `world`.
-  void onWait(int world, const std::vector<Request>& ops, sim::SimTime now);
-  /// A waitAny returned exactly `op`.
-  void onWaitOne(int world, const Request& op, sim::SimTime now);
+  // ---- Observer ------------------------------------------------------------
+  void onIssue(const Comm& comm, const Request& op, sim::SimTime now) override;
+  void onMatch(const Comm& comm, const Request& sendOp,
+               const Request& recvOp) override;
+  void onGateArrive(const Comm& comm, const CollGate& gate, int commRank,
+                    const CollSig& sig, sim::SimTime now) override;
+  void onGateComplete(const Comm& comm, const CollGate& gate, double duration,
+                      sim::SimTime done) override;
+  void onWaitReturn(int world, const std::vector<Request>& ops,
+                    std::size_t fired, sim::SimTime now) override;
 
   // ---- results ---------------------------------------------------------
   OpGraph& graph() { return graph_; }
   const OpGraph& graph() const { return graph_; }
+  std::size_t maxOps() const { return maxOps_; }
+  void setMaxOps(std::size_t maxOps) { maxOps_ = maxOps; }
 
-  /// Graph node id of a p2p op, or -1 (unknown op / capture was full).
-  /// The observability plane uses this to walk from a blocking wait's
-  /// releasing op to the matched partner's issue.
-  std::int32_t nodeIdOf(const OpState* op) const { return nodeOf(op); }
+  /// Record id (graph node) of `op` as seen by world rank `world`: the
+  /// op's own node for a send/recv, the rank's arrival for a collective
+  /// gate.  -1 when the op was not recorded (the capture was full).
+  std::int32_t idOf(int world, const OpState& op) const;
 
  private:
   bool full();
   void noteComm(const Comm& comm);
-  std::int32_t addWaitNode(int world, sim::SimTime now);
-  /// Node id of a p2p op, or -1 (unknown op / capture was full).
-  std::int32_t nodeOf(const OpState* op) const;
+  std::int32_t add(OpNode n);
 
-  CaptureOptions options_;
+  std::size_t maxOps_ = kDefaultMaxOps;
   OpGraph graph_;
   std::vector<int> rankSeq_;  // next program-order index per world rank
+  // Latest gate arrival per world rank: a rank's wait on a collective
+  // almost always returns the gate it joined last, so this resolves it
+  // without scanning the gate's arrival list.
+  std::vector<std::int32_t> lastArrival_;
   std::unordered_map<const OpState*, std::int32_t> byOp_;
   std::vector<Request> pinned_;
-};
-
-/// Thread-local RAII capture scope: while alive, every Simulation
-/// constructed on this thread records into a Capture owned by the scope.
-/// Scopes nest (the innermost wins); Simulations built on other threads
-/// (e.g. inside core::sweep) are not captured.
-class CaptureScope {
- public:
-  explicit CaptureScope(CaptureOptions options = {});
-  ~CaptureScope();
-  CaptureScope(const CaptureScope&) = delete;
-  CaptureScope& operator=(const CaptureScope&) = delete;
-
-  /// The innermost live scope on this thread, or null.
-  static CaptureScope* active();
-
-  /// Called by Simulation's constructor; returns the Capture the new
-  /// Simulation must record into.
-  Capture& attach(int nranks);
-
-  /// One Capture per Simulation constructed under the scope, in
-  /// construction order.  Valid until the scope is destroyed.
-  const std::vector<std::unique_ptr<Capture>>& captures() const {
-    return captures_;
-  }
-  std::vector<std::unique_ptr<Capture>> takeCaptures() {
-    return std::move(captures_);
-  }
-
- private:
-  CaptureOptions options_;
-  CaptureScope* prev_;
-  std::vector<std::unique_ptr<Capture>> captures_;
 };
 
 }  // namespace bgp::smpi::analysis

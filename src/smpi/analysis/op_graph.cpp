@@ -7,16 +7,6 @@
 
 namespace bgp::smpi::analysis {
 
-const char* toString(OpKind kind) {
-  switch (kind) {
-    case OpKind::Send: return "send";
-    case OpKind::Recv: return "recv";
-    case OpKind::Coll: return "collective";
-    case OpKind::Wait: return "wait";
-  }
-  BGP_UNREACHABLE();
-}
-
 std::int32_t OpGraph::add(OpNode n) {
   BGP_REQUIRE(n.world >= 0 && n.world < nranks_);
   BGP_CHECK_MSG(clocks_.empty(), "op-graph frozen after computeClocks()");
@@ -25,22 +15,22 @@ std::int32_t OpGraph::add(OpNode n) {
   return id;
 }
 
-const std::vector<std::int32_t>* OpGraph::gateArrivals(
-    int commId, std::uint64_t seq) const {
+void OpGraph::addGateArrival(int commId, std::uint64_t seq,
+                             std::int32_t nodeId) {
+  gates_[{commId, seq}].arrivals.push_back(nodeId);
+}
+
+const GateRecord* OpGraph::gate(int commId, std::uint64_t seq) const {
   const auto it = gates_.find({commId, seq});
   return it == gates_.end() ? nullptr : &it->second;
 }
 
-void OpGraph::addGateArrival(int commId, std::uint64_t seq,
-                             std::int32_t nodeId) {
-  gates_[{commId, seq}].push_back(nodeId);
-}
 
 std::int32_t OpGraph::lastGateArrival(int commId, std::uint64_t seq) const {
-  const auto* arrivals = gateArrivals(commId, seq);
-  if (!arrivals || arrivals->empty()) return -1;
+  const GateRecord* g = gate(commId, seq);
+  if (!g) return -1;
   std::int32_t last = -1;
-  for (const std::int32_t a : *arrivals)
+  for (const std::int32_t a : g->arrivals)
     if (last < 0 || node(a).time >= node(last).time) last = a;
   return last;
 }
@@ -84,8 +74,8 @@ void OpGraph::computeClocks() {
         if (op.kind == OpKind::Recv && op.matched >= 0) {
           join(vc, clockRow(op.matched));
         } else if (op.kind == OpKind::Coll) {
-          if (const auto* arrivals = gateArrivals(op.commId, op.collSeq))
-            for (const std::int32_t a : *arrivals) join(vc, clockRow(a));
+          if (const GateRecord* g = gateOf(opId))
+            for (const std::int32_t a : g->arrivals) join(vc, clockRow(a));
         }
       }
     }
@@ -121,8 +111,8 @@ std::string OpGraph::describe(std::int32_t id) const {
       if (n.expectedBytes >= 0) os << ", expect=" << n.expectedBytes;
       break;
     case OpKind::Coll:
-      os << net::toString(n.collKind) << "(#" << n.collSeq;
-      if (n.collRoot >= 0) os << ", root=" << n.collRoot;
+      os << net::toString(n.coll.kind) << "(#" << n.collSeq;
+      if (n.coll.root >= 0) os << ", root=" << n.coll.root;
       break;
     case OpKind::Wait:
       os << "wait(" << n.waited.size() << " op"

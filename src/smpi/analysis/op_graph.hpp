@@ -36,12 +36,9 @@
 
 namespace bgp::smpi::analysis {
 
-enum class OpKind : std::uint8_t { Send, Recv, Coll, Wait };
-
-const char* toString(OpKind kind);
-
-/// One captured runtime event.  Fields that do not apply to a kind keep
-/// their defaults (e.g. collKind on a Send).
+/// One captured runtime event — the runtime's single per-op record, read
+/// by the analysis passes and by obs::Profiler.  Fields that do not apply
+/// to a kind keep their defaults (e.g. coll on a Send).
 struct OpNode {
   OpKind kind = OpKind::Send;
   int world = -1;     // issuing world rank
@@ -50,15 +47,12 @@ struct OpNode {
   int commRank = -1;  // issuer's rank within the communicator
   int peer = -1;      // Send: dst comm rank; Recv: wanted src (may be ANY)
   int tag = -1;       // Send: tag; Recv: wanted tag (may be ANY)
-  double bytes = 0.0;
+  double bytes = 0.0;           // Send: payload (Coll: coll.bytes)
   double expectedBytes = -1.0;  // Recv only; < 0 = undeclared
 
-  // Collective arrivals.
-  net::CollKind collKind{};
+  // Collective arrivals: this member's call and the gate it joined.
+  CollSig coll;
   std::uint64_t collSeq = 0;
-  int collRoot = -1;
-  ReduceOp collRop = ReduceOp::None;
-  net::Dtype collDt = net::Dtype::Byte;
 
   // Cross links (node ids; -1 = none).
   std::int32_t matched = -1;   // Send <-> Recv partner, set on both sides
@@ -66,6 +60,22 @@ struct OpNode {
   std::vector<std::int32_t> waited;  // Wait only: the ops it returned
 
   sim::SimTime time = 0.0;  // issue time in the executed schedule (diag)
+
+  // Profiler bookkeeping (send/recv, and a gate's first arrival, which
+  // stands for the whole gate).
+  sim::SimTime completion = -1.0;  // < 0: never completed / not stamped
+  bool overlapCounted = false;     // overlap already credited to a rank
+};
+
+/// One collective gate: its arrivals plus what the runtime charged for
+/// it once the last member arrived.
+struct GateRecord {
+  std::vector<std::int32_t> arrivals;  // arrival node ids, arrival order
+  net::Dtype dt{};                     // the first arrival's
+  double bytes = 0.0;                  // max payload over arrivals
+  sim::SimTime lastArrival = -1.0;
+  double duration = -1.0;  // < 0: the gate never completed
+  sim::SimTime done = -1.0;
 };
 
 /// Communicator membership, recorded once per communicator so findings
@@ -90,18 +100,24 @@ class OpGraph {
   /// order); returns its id.
   std::int32_t add(OpNode n);
 
-  /// Arrival node ids of collective gate (commId, collSeq), arrival order.
-  const std::vector<std::int32_t>* gateArrivals(int commId,
-                                               std::uint64_t seq) const;
   void addGateArrival(int commId, std::uint64_t seq, std::int32_t nodeId);
+  /// Gate (commId, seq), or null for an unknown gate.
+  const GateRecord* gate(int commId, std::uint64_t seq) const;
+  GateRecord* gate(int commId, std::uint64_t seq) {
+    return const_cast<GateRecord*>(std::as_const(*this).gate(commId, seq));
+  }
+  /// The gate a Coll node arrived at, or null.
+  const GateRecord* gateOf(std::int32_t collNode) const {
+    const OpNode& n = node(collNode);
+    return gate(n.commId, n.collSeq);
+  }
   /// The arrival node of gate (commId, seq) with the latest issue time —
   /// the member the collective gated on (ties: the later arrival in
   /// engine order wins, matching the runtime's last-arrival bookkeeping).
   /// Returns -1 for an unknown gate.
   std::int32_t lastGateArrival(int commId, std::uint64_t seq) const;
   /// All gates, keyed (commId, collSeq), ascending.
-  const std::map<std::pair<int, std::uint64_t>, std::vector<std::int32_t>>&
-  gates() const {
+  const std::map<std::pair<int, std::uint64_t>, GateRecord>& gates() const {
     return gates_;
   }
 
@@ -142,7 +158,7 @@ class OpGraph {
   int nranks_;
   bool truncated_ = false;
   std::vector<OpNode> nodes_;
-  std::map<std::pair<int, std::uint64_t>, std::vector<std::int32_t>> gates_;
+  std::map<std::pair<int, std::uint64_t>, GateRecord> gates_;
   std::map<int, CommInfo> comms_;
   std::vector<std::uint32_t> clocks_;  // nodes x nranks, row-major
 };

@@ -154,8 +154,8 @@ void checkCollectiveContracts(const OpGraph& g, Report& report) {
   std::map<int, std::vector<std::pair<std::uint64_t,
                                       const std::vector<std::int32_t>*>>>
       byComm;
-  for (const auto& [key, arrivals] : g.gates())
-    byComm[key.first].emplace_back(key.second, &arrivals);
+  for (const auto& [key, gate] : g.gates())
+    byComm[key.first].emplace_back(key.second, &gate.arrivals);
 
   for (const auto& [commId, gates] : byComm) {
     const CommInfo* info = g.comm(commId);
@@ -166,13 +166,13 @@ void checkCollectiveContracts(const OpGraph& g, Report& report) {
         const OpNode& a = g.node(aid);
         std::string what;
         Severity sev = Severity::Error;
-        if (a.collKind != ref.collKind)
+        if (a.coll.kind != ref.coll.kind)
           what = "operation kinds differ";
-        else if (a.collRoot != ref.collRoot)
+        else if (a.coll.root != ref.coll.root)
           what = "roots differ";
-        else if (a.collRop != ref.collRop)
+        else if (a.coll.rop != ref.coll.rop)
           what = "reduction operators differ";
-        else if (a.collDt != ref.collDt) {
+        else if (a.coll.dt != ref.coll.dt) {
           what = "datatypes differ";
           sev = Severity::Warning;
         }
@@ -187,11 +187,11 @@ void checkCollectiveContracts(const OpGraph& g, Report& report) {
         f.evidence.push_back(g.describe((*arrivals)[0]));
         f.evidence.push_back(g.describe(aid));
         std::ostringstream w;
-        w << "rank " << ref.world << " calls " << net::toString(ref.collKind)
-          << "(root=" << ref.collRoot << ", op=" << toString(ref.collRop)
+        w << "rank " << ref.world << " calls " << net::toString(ref.coll.kind)
+          << "(root=" << ref.coll.root << ", op=" << toString(ref.coll.rop)
           << ") while rank " << a.world << " calls "
-          << net::toString(a.collKind) << "(root=" << a.collRoot
-          << ", op=" << toString(a.collRop) << ") at the same point";
+          << net::toString(a.coll.kind) << "(root=" << a.coll.root
+          << ", op=" << toString(a.coll.rop) << ") at the same point";
         f.witness = w.str();
         report.add(std::move(f));
         if (sev == Severity::Error) diverged = true;

@@ -238,7 +238,7 @@ const std::vector<Scenario>& scenarios() {
 ScenarioResult runScenario(const Scenario& scenario) {
   ScenarioResult result;
   result.name = scenario.name;
-  CaptureScope scope;
+  ObserverScope scope(ObserverScope::Attach::Capture);
   try {
     scenario.run();
   } catch (const std::exception& e) {

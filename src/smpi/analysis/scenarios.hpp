@@ -19,7 +19,7 @@ struct Scenario {
   std::string group;  // "paper" or "stress"
   std::string what;   // one-line description for --list
   /// Runs the workload; every Simulation it constructs is captured by the
-  /// caller's CaptureScope.
+  /// caller's ObserverScope.
   std::function<void()> run;
   /// False for purely analytic proxies (CAM, GYRO, MD) that model their
   /// communication in closed form and never construct a Simulation: zero
@@ -50,10 +50,10 @@ struct ScenarioResult {
   }
 };
 
-/// Runs one scenario under a CaptureScope and analyzes every capture.  A
-/// workload exception is recorded in `failed`/`error` (the captures up to
-/// that point are still analyzed — that is how divergence defects are
-/// localized even though the runtime aborts).
+/// Runs one scenario under a capturing ObserverScope and analyzes every
+/// capture.  A workload exception is recorded in `failed`/`error` (the
+/// captures up to that point are still analyzed — that is how divergence
+/// defects are localized even though the runtime aborts).
 ScenarioResult runScenario(const Scenario& scenario);
 
 }  // namespace bgp::smpi::analysis

@@ -16,6 +16,20 @@ namespace bgp::smpi {
 
 class Simulation;
 
+/// Counter-based collective gate: every member rank of collective #seq
+/// shares the single `op`; the last arrival schedules one completion
+/// callback, whose finish() resumes the members in arrival order — the
+/// same resume order, at the same simulated time, as the seed's
+/// one-OpState-per-rank fan-out, at 1/size the allocations and events.
+struct CollGate {
+  CollSig sig;         // the first arrival's signature
+  int firstRank = -1;  // comm rank that opened the gate (diagnostics)
+  double bytes = 0.0;  // max payload over arrivals (the timing model's)
+  int arrived = 0;
+  sim::SimTime lastArrival = 0.0;
+  Request op;  // shared by every member; op->collSeq is the gate's seq
+};
+
 class Comm {
  public:
   int size() const { return static_cast<int>(members_.size()); }
@@ -43,23 +57,6 @@ class Comm {
   friend class Verifier;  // finalize-time leak scans over matching state
 
   Comm(int id, std::vector<int> members, int worldSize);
-
-  /// Counter-based collective gate: every member rank of collective #seq
-  /// shares the single `op`; the last arrival schedules one completion
-  /// callback, whose finish() resumes the members in arrival order — the
-  /// same resume order, at the same simulated time, as the seed's
-  /// one-OpState-per-rank fan-out, at 1/size the allocations and events.
-  struct CollGate {
-    net::CollKind kind{};
-    double bytes = 0.0;
-    net::Dtype dt{};
-    int root = -1;
-    ReduceOp rop = ReduceOp::None;
-    int firstRank = -1;  // comm rank that opened the gate (diagnostics)
-    int arrived = 0;
-    sim::SimTime lastArrival = 0.0;
-    Request op;  // shared by every member
-  };
 
   int id_;
   std::vector<int> members_;      // commRank -> worldRank

@@ -1,7 +1,5 @@
 #include "smpi/rank.hpp"
 
-#include <string_view>
-
 #include "smpi/simulation.hpp"
 
 namespace bgp::smpi {
@@ -29,13 +27,12 @@ void AwaitOps::await_suspend(std::coroutine_handle<> h) {
     sim_->engine().schedule(sim_->engine().now(), h);
     return;
   }
-  rank_->sim_->blockedOnOf(rank_->id_) = ops_.front()->what;
+  rank_->sim_->blockedOnOf(rank_->id_) = toString(ops_.front()->kind);
   rank_->sim_->pendingOpsOf(rank_->id_) = &ops_;
   const double blockStart = sim_->engine().now();
-  const bool collective =
-      std::string_view(ops_.front()->what) == "collective";
-  if (auto* prof = sim_->profiler())
-    prof->onBlockBegin(rank_->id_, blockStart, collective);
+  const bool collective = ops_.front()->kind == OpKind::Coll;
+  for (Observer* o : sim_->observers())
+    o->onBlockBegin(rank_->id_, blockStart);
   for (const auto& op : ops_) {
     if (op->complete) continue;
     op->onComplete([this, h, blockStart, collective] {
@@ -59,10 +56,9 @@ void AwaitOps::await_suspend(std::coroutine_handle<> h) {
 
 RecvInfo AwaitOps::await_resume() const {
   for (const auto& op : ops_) op->waited = true;
-  if (auto* cap = sim_->capture())
-    cap->onWait(rank_->id_, ops_, sim_->engine().now());
-  if (auto* prof = sim_->profiler())
-    prof->onBlockEnd(rank_->id_, ops_, sim_->engine().now());
+  for (Observer* o : sim_->observers())
+    o->onWaitReturn(rank_->id_, ops_, Observer::kAllOps,
+                    sim_->engine().now());
   return ops_.front()->info;
 }
 
@@ -92,8 +88,8 @@ void AwaitAny::await_suspend(std::coroutine_handle<> h) {
   sim_->blockedOnOf(rank_->id_) = "waitany";
   sim_->pendingOpsOf(rank_->id_) = &ops_;
   const double blockStart = sim_->engine().now();
-  if (auto* prof = sim_->profiler())
-    prof->onBlockBegin(rank_->id_, blockStart, /*collective=*/false);
+  for (Observer* o : sim_->observers())
+    o->onBlockBegin(rank_->id_, blockStart);
   const int id = rank_->id_;
   Simulation* sim = sim_;
   for (std::size_t i = 0; i < ops_.size(); ++i) {
@@ -117,11 +113,8 @@ std::size_t AwaitAny::await_resume() const {
   // Only the fired request counts as waited (MPI_Waitany semantics); the
   // others stay live and must be waited on again.
   ops_[shared_->index]->waited = true;
-  if (auto* cap = sim_->capture())
-    cap->onWaitOne(rank_->id_, ops_[shared_->index], sim_->engine().now());
-  if (auto* prof = sim_->profiler())
-    prof->onBlockEndAny(rank_->id_, ops_, shared_->index,
-                        sim_->engine().now());
+  for (Observer* o : sim_->observers())
+    o->onWaitReturn(rank_->id_, ops_, shared_->index, sim_->engine().now());
   return shared_->index;
 }
 
@@ -135,8 +128,8 @@ AwaitCompute::AwaitCompute(Simulation& sim, Rank& rank, double seconds)
 void AwaitCompute::await_suspend(std::coroutine_handle<> h) {
   sim_->blockedOnOf(rank_->id_) = "compute";
   sim_->statsOf(rank_->id_).computeSeconds += seconds_;
-  if (auto* prof = sim_->profiler())
-    prof->onCompute(rank_->id_, sim_->engine().now(), seconds_);
+  for (Observer* o : sim_->observers())
+    o->onCompute(rank_->id_, sim_->engine().now(), seconds_);
   sim_->engine().scheduleCallback(sim_->engine().now() + seconds_,
                                   [this, h] {
                                     sim_->blockedOnOf(rank_->id_) = nullptr;

@@ -1,12 +1,11 @@
 #include "smpi/simulation.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <sstream>
-#include <string_view>
 #include <unordered_map>
 
-#include "obs/breakdown.hpp"
 #include "support/expect.hpp"
 
 namespace bgp::smpi {
@@ -31,18 +30,7 @@ Simulation::Simulation(arch::MachineConfig machine, std::int64_t nranks,
     ranks_.back().id_ = static_cast<int>(i);
     ranks_.back().rng_.reseed(splitmix64(sm));
   }
-  if (auto* scope = analysis::CaptureScope::active())
-    capture_ = &scope->attach(static_cast<int>(nranks));
-  if (auto* pscope = obs::ProfileScope::active()) {
-    // Profiling implies capture: the critical path and what-if replays
-    // reuse the op-graph's happens-before edges.
-    if (!capture_) {
-      ownedCapture_ = std::make_unique<analysis::Capture>(
-          static_cast<int>(nranks), analysis::CaptureOptions{});
-      capture_ = ownedCapture_.get();
-    }
-    profiler_ = &pscope->attach(*this);
-  }
+  if (ObserverScope* scope = ObserverScope::active()) scope->attach(*this);
 }
 
 void Simulation::setFaults(const sim::FaultConfig& config) {
@@ -86,26 +74,39 @@ void Simulation::checkAlive(int worldRank) const {
   }
 }
 
-Verifier& Simulation::enableVerifier(VerifierOptions options) {
-  BGP_REQUIRE_MSG(!ran_, "enableVerifier must be called before run()");
-  verifier_ = std::make_unique<Verifier>(options);
-  return *verifier_;
+void Simulation::attach(Observer& observer) {
+  BGP_REQUIRE_MSG(!ran_, "observers must be attached before run()");
+  const auto pos = std::upper_bound(
+      observers_.begin(), observers_.end(), observer.stage(),
+      [](Observer::Stage s, const Observer* o) { return s < o->stage(); });
+  observers_.insert(pos, &observer);
 }
 
-analysis::Capture& Simulation::enableCapture(analysis::CaptureOptions options) {
-  BGP_REQUIRE_MSG(!ran_, "enableCapture must be called before run()");
-  ownedCapture_ = std::make_unique<analysis::Capture>(
-      static_cast<int>(nranks_), options);
-  capture_ = ownedCapture_.get();
-  return *capture_;
+Verifier& Simulation::enableVerifier(VerifierOptions options) {
+  BGP_REQUIRE_MSG(!verifier(), "verifier already enabled");
+  attach(*owned_.emplace_back(std::make_unique<Verifier>(options)));
+  return *verifier();
+}
+
+analysis::Capture& Simulation::enableCapture() {
+  if (!capture())
+    attach(*owned_.emplace_back(
+        std::make_unique<analysis::Capture>(static_cast<int>(nranks_))));
+  return *capture();
 }
 
 obs::Profiler& Simulation::enableProfile(obs::ProfileOptions options) {
-  BGP_REQUIRE_MSG(!ran_, "enableProfile must be called before run()");
-  if (!capture_) enableCapture();
-  ownedProfiler_ = std::make_unique<obs::Profiler>(*this, options);
-  profiler_ = ownedProfiler_.get();
-  return *profiler_;
+  if (!profiler())
+    attach(*owned_.emplace_back(
+        std::make_unique<obs::Profiler>(*this, options)));
+  return *profiler();
+}
+
+std::vector<const Comm*> Simulation::comms() const {
+  std::vector<const Comm*> all;
+  all.push_back(world_.get());
+  for (const auto& c : subComms_) all.push_back(c.get());
+  return all;
 }
 
 RunResult Simulation::run(const RankProgram& program) {
@@ -173,19 +174,12 @@ RunResult Simulation::run(const RankProgram& program) {
     throw DeadlockError(os.str());
   }
 
-  if (verifier_) {
-    std::vector<const Comm*> comms;
-    comms.push_back(world_.get());
-    for (const auto& c : subComms_) comms.push_back(c.get());
-    verifier_->finalize(comms);
-  }
-
   RunResult result;
   result.finishTimes = std::move(finish);
   result.makespan =
       *std::max_element(result.finishTimes.begin(), result.finishTimes.end());
   result.events = engine_.eventsProcessed();
-  if (profiler_ && !profiler_->finalized()) profiler_->finalize(result);
+  for (Observer* o : observers_) o->onRunFinished(*this, result);
   return result;
 }
 
@@ -232,27 +226,16 @@ const RankStats& Simulation::rankStats(int worldRank) const {
   return stats_[static_cast<std::size_t>(worldRank)];
 }
 
-Simulation::Profile Simulation::profile() const {
-  const obs::StatsSummary s = obs::summarizeStats(stats_.data(), stats_.size());
-  Profile p;
-  p.sends = s.sends;
-  p.collectives = s.collectives;
-  p.bytesSent = s.bytesSent;
-  p.computeSeconds = s.computeSeconds;
-  p.p2pWaitSeconds = s.p2pWaitSeconds;
-  p.collWaitSeconds = s.collWaitSeconds;
-  p.computeImbalance = s.computeImbalance;
-  p.commFraction = s.commFraction;
-  return p;
+obs::StatsSummary Simulation::profile() const {
+  return obs::summarizeStats(stats_.data(), stats_.size());
 }
 
 std::string Simulation::describeOp(const OpState& op) {
   std::ostringstream os;
-  const std::string_view what = op.what;
-  os << what << "(";
-  if (what == "collective") {
+  os << toString(op.kind) << "(";
+  if (op.kind == OpKind::Coll) {
     os << "#" << op.collSeq;
-  } else if (what == "send") {
+  } else if (op.kind == OpKind::Send) {
     os << "dst=" << op.peer << ", tag=" << op.tag;
   } else {
     os << "src="
@@ -288,7 +271,7 @@ std::string Simulation::deadlockCycleReport() const {
       const Comm* comm = commById(op->commId);
       if (!comm) continue;
       int next = -1;
-      if (std::string_view(op->what) == "collective") {
+      if (op->kind == OpKind::Coll) {
         for (int cr = 0; cr < comm->size(); ++cr) {
           const int w = comm->worldRank(cr);
           if (w != static_cast<int>(i) &&
@@ -347,15 +330,13 @@ Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
                   "destination rank out of range");
   checkAlive(worldSrc);
   Request op = makeOpState();
-  op->what = "send";
+  op->kind = OpKind::Send;
   op->ownerWorld = worldSrc;
   op->peer = dstCommRank;
   op->tag = tag;
   op->commId = comm.id();
   op->bytes = bytes;
-  if (verifier_) verifier_->onSend(op);
-  if (capture_) capture_->onSend(comm, op, engine_.now());
-  if (profiler_) profiler_->onP2pIssue(comm, op, /*isSend=*/true, engine_.now());
+  for (Observer* o : observers_) o->onIssue(comm, op, engine_.now());
 
   const int worldDst = comm.worldRank(dstCommRank);
   const topo::NodeId srcNode = system_->nodeOf(worldSrc);
@@ -365,13 +346,14 @@ Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
     const auto tr = system_->torusNetwork().transfer(srcNode, dstNode, bytes,
                                                      engine_.now());
     engine_.scheduleCallback(tr.injected, [op] { op->finish(); });
-    // Capture-off keeps the captured Request null: copying a null
-    // shared_ptr is refcount-free, so the hot eager path stays identical.
-    Request capOp = capture_ ? op : nullptr;
+    // Observers need the send op at delivery (for onMatch).  Unobserved
+    // runs keep the carried Request null: copying a null shared_ptr is
+    // refcount-free, so the hot eager path stays identical.
+    Request obsOp = observers_.empty() ? nullptr : op;
     engine_.scheduleCallback(
         tr.arrival,
-        [this, &comm, srcCommRank, dstCommRank, tag, bytes, capOp] {
-          deliverEager(comm, srcCommRank, dstCommRank, tag, bytes, capOp);
+        [this, &comm, srcCommRank, dstCommRank, tag, bytes, obsOp] {
+          deliverEager(comm, srcCommRank, dstCommRank, tag, bytes, obsOp);
         });
   } else {
     // Rendezvous: a small ready-to-send control message travels first; the
@@ -390,10 +372,7 @@ Request Simulation::startSend(int worldSrc, Comm& comm, int dstCommRank,
 void Simulation::deliverEager(Comm& comm, int src, int dst, int tag,
                               double bytes, Request sendOp) {
   if (Request op = comm.match_.takePostedMatch(dst, src, tag)) {
-    if (verifier_)
-      verifier_->onRecvMatched(comm, src, dst, tag, op->expectedBytes,
-                               bytes);
-    if (capture_ && sendOp) capture_->onMatch(sendOp, op);
+    for (Observer* o : observers_) o->onMatch(comm, sendOp, op);
     op->info = RecvInfo{src, tag, bytes};
     op->finish();
     return;
@@ -406,10 +385,7 @@ void Simulation::deliverEager(Comm& comm, int src, int dst, int tag,
 void Simulation::arriveRts(Comm& comm, int src, int dst, int tag,
                            double bytes, Request sendOp) {
   if (Request recvOp = comm.match_.takePostedMatch(dst, src, tag)) {
-    if (verifier_)
-      verifier_->onRecvMatched(comm, src, dst, tag, recvOp->expectedBytes,
-                               bytes);
-    if (capture_) capture_->onMatch(sendOp, recvOp);
+    for (Observer* o : observers_) o->onMatch(comm, sendOp, recvOp);
     startRendezvousData(comm, src, dst, tag, bytes, sendOp, recvOp);
     return;
   }
@@ -445,23 +421,17 @@ Request Simulation::postRecv(int worldDst, Comm& comm, int srcWanted,
                   "source rank out of range");
   checkAlive(worldDst);
   Request op = makeOpState();
-  op->what = "recv";
+  op->kind = OpKind::Recv;
   op->ownerWorld = worldDst;
   op->peer = srcWanted;
   op->tag = tagWanted;
   op->commId = comm.id();
   op->expectedBytes = expectedBytes;
-  if (verifier_) verifier_->onRecv(op);
-  if (capture_) capture_->onRecv(comm, op, engine_.now());
-  if (profiler_)
-    profiler_->onP2pIssue(comm, op, /*isSend=*/false, engine_.now());
+  for (Observer* o : observers_) o->onIssue(comm, op, engine_.now());
 
   MatchTable::Staged msg;
   if (comm.match_.takeStagedMatch(dst, srcWanted, tagWanted, msg)) {
-    if (verifier_)
-      verifier_->onRecvMatched(comm, msg.src, dst, msg.tag, expectedBytes,
-                               msg.bytes);
-    if (capture_ && msg.sendOp) capture_->onMatch(msg.sendOp, op);
+    for (Observer* o : observers_) o->onMatch(comm, msg.sendOp, op);
     if (msg.rendezvous) {
       startRendezvousData(comm, msg.src, dst, msg.tag, msg.bytes, msg.sendOp,
                           op);
@@ -482,57 +452,72 @@ Request Simulation::joinCollective(Comm& comm, int commRank,
   checkAlive(comm.worldRank(commRank));
   const std::uint64_t seq =
       comm.nextCollSeq_[static_cast<std::size_t>(commRank)]++;
-  if (verifier_)
-    verifier_->onCollective(comm, seq, commRank, kind, root, rop, dt, bytes);
-  // Before the gate's contract check below: a divergent arrival must land
-  // in the op-graph so the collective-contract pass can localize it even
-  // though the runtime aborts the run.
-  if (capture_)
-    capture_->onCollective(comm, seq, commRank, kind, root, rop, dt, bytes,
-                           engine_.now());
+  const CollSig sig{kind, root, rop, dt, bytes};
   auto& gate = comm.colls_[seq];
   if (gate.arrived == 0) {
-    gate.kind = kind;
-    gate.dt = dt;
-    gate.root = root;
-    gate.rop = rop;
+    gate.sig = sig;
     gate.firstRank = commRank;
     // One OpState for the whole gate: every member awaits the same op,
     // and the continuation registration order *is* the arrival order, so
     // a single finish() resumes the members in exactly the sequence the
     // seed's per-rank fan-out produced — at the same simulated time.
     gate.op = makeOpState();
-    gate.op->what = "collective";
+    gate.op->kind = OpKind::Coll;
     gate.op->ownerWorld = comm.worldRank(commRank);
     gate.op->commId = comm.id();
     gate.op->collSeq = seq;
-  } else {
-    BGP_REQUIRE_MSG(gate.kind == kind,
-                    "collective mismatch: ranks disagree on operation " +
-                        net::toString(gate.kind) + " vs " +
-                        net::toString(kind));
   }
+  // Before the gate's contract check below: a divergent arrival must land
+  // in the op-graph so the collective-contract pass can localize it even
+  // though the runtime (or a fail-fast verifier) aborts the run.
+  for (Observer* o : observers_)
+    o->onGateArrive(comm, gate, commRank, sig, engine_.now());
+  BGP_REQUIRE_MSG(gate.sig.kind == kind,
+                  "collective mismatch: ranks disagree on operation " +
+                      net::toString(gate.sig.kind) + " vs " +
+                      net::toString(kind));
   gate.bytes = std::max(gate.bytes, bytes);
   gate.op->bytes = gate.bytes;
   ++gate.arrived;
   gate.lastArrival = std::max(gate.lastArrival, engine_.now());
   Request op = gate.op;
-  if (profiler_)
-    profiler_->onCollArrival(comm, op, kind, bytes, commRank, engine_.now());
 
   if (gate.arrived == comm.size()) {
     // The BG/P tree/barrier networks only serve the full partition; sub-
     // communicator collectives run torus algorithms (comm id 0 = world).
     const double duration = system_->collectives().cost(
-        kind, comm.size(), gate.bytes, gate.dt, comm.id() == 0);
+        kind, comm.size(), gate.bytes, gate.sig.dt, comm.id() == 0);
     const sim::SimTime done = gate.lastArrival + duration;
     engine_.scheduleCallback(done, [op] { op->finish(); });
-    if (profiler_)
-      profiler_->onCollComplete(comm, op, kind, gate.bytes, gate.dt,
-                                gate.lastArrival, duration, done);
+    for (Observer* o : observers_)
+      o->onGateComplete(comm, gate, duration, done);
     comm.colls_.erase(seq);
   }
   return op;
+}
+
+// ---- ObserverScope ----------------------------------------------------------
+
+namespace {
+std::atomic<ObserverScope*> gActiveScope{nullptr};
+}  // namespace
+
+ObserverScope::ObserverScope(Attach what, obs::ProfileOptions options)
+    : what_(what), options_(options), prev_(gActiveScope.exchange(this)) {}
+
+ObserverScope::~ObserverScope() { gActiveScope.store(prev_); }
+
+ObserverScope* ObserverScope::active() { return gActiveScope.load(); }
+
+void ObserverScope::attach(Simulation& sim) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (what_ == Attach::Capture) {
+    captures_.push_back(std::make_unique<analysis::Capture>(sim.nranks()));
+    sim.attach(*captures_.back());
+  } else {
+    profilers_.push_back(std::make_unique<obs::Profiler>(sim, options_));
+    sim.attach(*profilers_.back());
+  }
 }
 
 }  // namespace bgp::smpi

@@ -5,15 +5,18 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "net/system.hpp"
+#include "obs/breakdown.hpp"
 #include "obs/profiler.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/task.hpp"
 #include "smpi/analysis/capture.hpp"
 #include "smpi/comm.hpp"
+#include "smpi/observer.hpp"
 #include "smpi/rank.hpp"
 #include "smpi/types.hpp"
 #include "smpi/verifier.hpp"
@@ -56,19 +59,7 @@ class Simulation {
   const RankStats& rankStats(int worldRank) const;
 
   /// Aggregated profile across all ranks.
-  struct Profile {
-    std::uint64_t sends = 0;
-    std::uint64_t collectives = 0;
-    double bytesSent = 0.0;
-    double computeSeconds = 0.0;   // sum over ranks
-    double p2pWaitSeconds = 0.0;
-    double collWaitSeconds = 0.0;
-    /// max/mean of per-rank compute time (1.0 = perfectly balanced).
-    double computeImbalance = 1.0;
-    /// fraction of total rank-time spent blocked on communication.
-    double commFraction = 0.0;
-  };
-  Profile profile() const;
+  obs::StatsSummary profile() const;
 
   double computeTime(const arch::Work& w) const {
     return system_->computeTime(w);
@@ -90,27 +81,36 @@ class Simulation {
   /// Throws sim::FaultError if `worldRank`'s node fail-stopped before now.
   void checkAlive(int worldRank) const;
 
-  // ---- correctness verifier ------------------------------------------------
-  /// Enables the runtime MPI correctness verifier (call before run()).
+  // ---- observers -----------------------------------------------------------
+  // The verifier, the analysis capture and the profiler are Observers on
+  // one ordered list (see smpi/observer.hpp); every runtime event fans out
+  // to it behind one emptiness check.  Attach them before run().
+
+  /// Adds `observer` to the fan-out list, after every attached observer
+  /// of the same or an earlier Stage.  The caller keeps ownership.
+  void attach(Observer& observer);
+  const std::vector<Observer*>& observers() const { return observers_; }
+
+  /// Enables the runtime MPI correctness verifier.
   Verifier& enableVerifier(VerifierOptions options = {});
-  Verifier* verifier() { return verifier_.get(); }
+  Verifier* verifier() const { return find<Verifier>(); }
 
-  // ---- static-analysis capture ---------------------------------------------
-  /// Enables communication capture for this Simulation (call before
-  /// run()); the returned Capture owns the op-graph the analysis passes
-  /// consume.  Simulations constructed under an analysis::CaptureScope are
-  /// captured automatically without this call.
-  analysis::Capture& enableCapture(analysis::CaptureOptions options = {});
-  analysis::Capture* capture() { return capture_; }
+  /// Enables communication capture; the returned Capture owns the
+  /// op-graph the analysis passes consume.  Returns the attached capture
+  /// if there already is one (an ObserverScope's, or the profiler's).
+  analysis::Capture& enableCapture();
+  analysis::Capture* capture() const { return find<analysis::Capture>(); }
 
-  // ---- observability plane ---------------------------------------------------
-  /// Enables profiling for this Simulation (call before run()); implies
-  /// capture (the critical path reuses the op-graph's happens-before
-  /// edges).  Simulations constructed under an obs::ProfileScope are
-  /// profiled automatically without this call.  The profile is assembled
-  /// by run() and read via profiler()->profile().
+  /// Enables profiling, and capture with it: the profiler reads its per-op
+  /// facts from the capture's op-graph, which sits ahead of it in the
+  /// list.  Returns the attached profiler if there already is one.  The
+  /// profile is assembled by run() and read via profiler()->profile().
   obs::Profiler& enableProfile(obs::ProfileOptions options = {});
-  obs::Profiler* profiler() { return profiler_; }
+  obs::Profiler* profiler() const { return find<obs::Profiler>(); }
+
+  /// The world communicator followed by every sub-communicator, in
+  /// creation order.
+  std::vector<const Comm*> comms() const;
 
   /// Aborts run() with WatchdogError once either budget is exceeded
   /// (0 = unlimited); forwards to sim::Engine::setWatchdog.
@@ -149,6 +149,13 @@ class Simulation {
   void startRendezvousData(Comm& comm, int src, int dst, int tag,
                            double bytes, const Request& sendOp,
                            const Request& recvOp);
+  template <typename T>
+  T* find() const {
+    for (Observer* o : observers_)
+      if (auto* t = dynamic_cast<T*>(o)) return t;
+    return nullptr;
+  }
+
   /// "rank 3: recv(src=1, tag=7, comm 0)" for wait-chain reports.
   static std::string describeOp(const OpState& op);
   /// Appends a wait-for-graph cycle (if one exists) to deadlock reports.
@@ -167,16 +174,53 @@ class Simulation {
   std::vector<const char*> blockedOnByRank_;
   std::vector<const std::vector<Request>*> pendingOpsByRank_;
   std::unique_ptr<sim::FaultPlane> faults_;
-  std::unique_ptr<Verifier> verifier_;
-  // Raw pointer: either ownedCapture_ (enableCapture) or a Capture owned
-  // by the thread's active CaptureScope, which outlives the Simulation.
-  analysis::Capture* capture_ = nullptr;
-  std::unique_ptr<analysis::Capture> ownedCapture_;
-  // Raw pointer: either ownedProfiler_ (enableProfile) or a Profiler
-  // owned by the active ProfileScope, which outlives the Simulation.
-  obs::Profiler* profiler_ = nullptr;
-  std::unique_ptr<obs::Profiler> ownedProfiler_;
+  // Fan-out list in Stage order.  Entries are either owned_ (enable*())
+  // or owned by the active ObserverScope, which outlives the Simulation.
+  std::vector<Observer*> observers_;
+  std::vector<std::unique_ptr<Observer>> owned_;
   bool ran_ = false;
+};
+
+/// Process-global RAII scope: while alive, every Simulation constructed
+/// anywhere in the process gets an observer owned by the scope — a
+/// Capture (Attach::Capture: smpilint) or a Profiler, with its capture
+/// (Attach::Profile: bgpprof, bench --profile).  Process-global because
+/// the bench harness builds Simulations on pool threads.  Scopes nest,
+/// innermost wins; construct and destroy them from one thread at a time.
+class ObserverScope {
+ public:
+  enum class Attach : std::uint8_t { Capture, Profile };
+
+  explicit ObserverScope(Attach what, obs::ProfileOptions options = {});
+  ~ObserverScope();
+  ObserverScope(const ObserverScope&) = delete;
+  ObserverScope& operator=(const ObserverScope&) = delete;
+
+  /// The innermost live scope, or null.
+  static ObserverScope* active();
+
+  /// One entry per Simulation constructed under the scope (captures()
+  /// under Attach::Capture, profilers() under Attach::Profile).  Under
+  /// the bench pool the order is thread-schedule dependent; exporters
+  /// sort by content.  Valid until the scope is destroyed.
+  const std::vector<std::unique_ptr<analysis::Capture>>& captures() const {
+    return captures_;
+  }
+  const std::vector<std::unique_ptr<obs::Profiler>>& profilers() const {
+    return profilers_;
+  }
+
+ private:
+  friend class Simulation;
+  /// Called by Simulation's constructor (thread-safe).
+  void attach(Simulation& sim);
+
+  Attach what_;
+  obs::ProfileOptions options_;
+  ObserverScope* prev_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<analysis::Capture>> captures_;
+  std::vector<std::unique_ptr<obs::Profiler>> profilers_;
 };
 
 }  // namespace bgp::smpi

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "net/collective_model.hpp"
 #include "sim/engine.hpp"
 #include "support/arena.hpp"
 
@@ -33,6 +34,33 @@ inline const char* toString(ReduceOp op) {
   return "?";
 }
 
+/// What a runtime operation is.  OpState carries one of the first three;
+/// the analysis op-graph adds Wait nodes for wait returns.
+enum class OpKind : std::uint8_t { Send, Recv, Coll, Wait };
+
+/// The diagnostic spelling used by deadlock, wait-chain, verifier and
+/// analyzer messages.
+inline const char* toString(OpKind kind) {
+  switch (kind) {
+    case OpKind::Send: return "send";
+    case OpKind::Recv: return "recv";
+    case OpKind::Coll: return "collective";
+    case OpKind::Wait: return "wait";
+  }
+  return "?";
+}
+
+/// A collective call's signature: what every member of one gate must agree
+/// on.  The gate keeps its first arrival's; each consumer applies its own
+/// comparison rules to later arrivals.
+struct CollSig {
+  net::CollKind kind{};
+  int root = -1;
+  ReduceOp rop = ReduceOp::None;
+  net::Dtype dt{};
+  double bytes = 0.0;
+};
+
 /// Completion info for a receive (MPI_Status equivalent).
 struct RecvInfo {
   int source = -1;
@@ -55,7 +83,7 @@ struct OpState {
   bool complete = false;
   bool waited = false;  // a wait/waitAll/waitAny consumed this request
   RecvInfo info;
-  const char* what = "op";  // for deadlock diagnostics
+  OpKind kind = OpKind::Send;
 
   // ---- diagnostics, filled at creation (wait-chain reporter, verifier) ----
   int ownerWorld = -1;          // world rank that created the operation

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "smpi/comm.hpp"
+#include "smpi/simulation.hpp"
 #include "support/expect.hpp"
 
 namespace bgp::smpi {
@@ -26,83 +27,71 @@ std::string tagName(int tag) {
   return tag == kAnyTag ? std::string("ANY_TAG") : std::to_string(tag);
 }
 
-std::string describeCall(net::CollKind kind, int root, ReduceOp rop,
-                         net::Dtype dt, double bytes) {
+std::string describeCall(const CollSig& sig) {
   std::ostringstream os;
-  os << net::toString(kind) << "(bytes=" << bytes
-     << ", elem=" << net::bytesOf(dt) << " B";
-  if (root >= 0) os << ", root=" << root;
-  if (rop != ReduceOp::None) os << ", op=" << toString(rop);
+  os << net::toString(sig.kind) << "(bytes=" << sig.bytes
+     << ", elem=" << net::bytesOf(sig.dt) << " B";
+  if (sig.root >= 0) os << ", root=" << sig.root;
+  if (sig.rop != ReduceOp::None) os << ", op=" << toString(sig.rop);
   os << ")";
   return os.str();
 }
 
 }  // namespace
 
-Verifier::Verifier(VerifierOptions options) : options_(options) {}
+Verifier::Verifier(VerifierOptions options)
+    : Observer(Stage::Check), options_(options) {}
 
 void Verifier::defect(const std::string& msg) {
   defects_.push_back(msg);
   if (options_.failFast) throw VerifierError("verifier: " + msg);
 }
 
-void Verifier::onCollective(const Comm& comm, std::uint64_t seq, int commRank,
-                            net::CollKind kind, int root, ReduceOp rop,
-                            net::Dtype dt, double bytes) {
+void Verifier::onGateArrive(const Comm& comm, const CollGate& gate,
+                            int commRank, const CollSig& sig, sim::SimTime) {
   ++activity_[comm.id()];
-  if (!options_.checkCollectives) return;
-  const auto key = std::make_pair(comm.id(), seq);
-  auto [it, inserted] = gates_.try_emplace(
-      key, CollSig{kind, root, rop, dt, bytes, commRank, 0});
-  CollSig& sig = it->second;
-  if (!inserted) {
-    std::ostringstream os;
-    os << "on comm " << comm.id() << ", collective #" << seq << ": "
-       << rankName(comm, commRank) << " called "
-       << describeCall(kind, root, rop, dt, bytes) << " but "
-       << rankName(comm, sig.firstRank) << " called "
-       << describeCall(sig.kind, sig.root, sig.rop, sig.dt, sig.bytes);
-    const std::string where = os.str();
-    if (sig.kind != kind) {
-      defect("collective mismatch " + where);
-    } else if (sig.root != root) {
-      defect("collective root mismatch " + where);
-    } else if (sig.rop != rop) {
-      defect("collective reduce-op mismatch " + where);
-    } else if (net::bytesOf(sig.dt) != net::bytesOf(dt)) {
-      defect("collective element-size mismatch " + where);
-    } else if (sig.bytes != bytes) {
-      defect("collective count mismatch " + where);
-    }
-  }
-  if (++sig.arrived == comm.size()) gates_.erase(it);
-}
-
-void Verifier::onSend(const Request& op) {
-  ++activity_[op->commId];
-  if (options_.checkLeaks) tracked_.push_back(op);
-}
-
-void Verifier::onRecv(const Request& op) {
-  ++activity_[op->commId];
-  if (options_.checkLeaks) tracked_.push_back(op);
-}
-
-void Verifier::onRecvMatched(const Comm& comm, int srcCommRank,
-                             int dstCommRank, int tag, double expectedBytes,
-                             double actualBytes) {
-  if (!options_.checkP2p) return;
-  if (expectedBytes < 0 || expectedBytes == actualBytes) return;
+  if (gate.arrived == 0) return;  // this arrival opened the gate
+  const CollSig& first = gate.sig;
+  const char* mismatch =
+      first.kind != sig.kind   ? "collective mismatch"
+      : first.root != sig.root ? "collective root mismatch"
+      : first.rop != sig.rop   ? "collective reduce-op mismatch"
+      : net::bytesOf(first.dt) != net::bytesOf(sig.dt)
+          ? "collective element-size mismatch"
+      : first.bytes != sig.bytes ? "collective count mismatch"
+                                 : nullptr;
+  if (!mismatch) return;
   std::ostringstream os;
-  os << "p2p count mismatch: " << rankName(comm, dstCommRank)
-     << " expected " << expectedBytes << " B (tag " << tagName(tag)
-     << ") but " << rankName(comm, srcCommRank) << " sent " << actualBytes
-     << " B";
+  os << mismatch << " on comm " << comm.id() << ", collective #"
+     << gate.op->collSeq << ": " << rankName(comm, commRank) << " called "
+     << describeCall(sig) << " but " << rankName(comm, gate.firstRank)
+     << " called " << describeCall(first);
   defect(os.str());
 }
 
+void Verifier::onIssue(const Comm& comm, const Request& op, sim::SimTime) {
+  ++activity_[comm.id()];
+  tracked_.push_back(op);
+}
+
+void Verifier::onMatch(const Comm& comm, const Request& sendOp,
+                       const Request& recvOp) {
+  const double expectedBytes = recvOp->expectedBytes;
+  if (expectedBytes < 0 || expectedBytes == sendOp->bytes) return;
+  std::ostringstream os;
+  os << "p2p count mismatch: "
+     << rankName(comm, comm.commRankOf(recvOp->ownerWorld)) << " expected "
+     << expectedBytes << " B (tag " << tagName(sendOp->tag) << ") but "
+     << rankName(comm, comm.commRankOf(sendOp->ownerWorld)) << " sent "
+     << sendOp->bytes << " B";
+  defect(os.str());
+}
+
+void Verifier::onRunFinished(Simulation& sim, const RunResult&) {
+  finalize(sim.comms());
+}
+
 void Verifier::finalize(const std::vector<const Comm*>& comms) {
-  if (!options_.checkLeaks) return;
   std::vector<std::string> leaks;
 
   for (const Comm* comm : comms) {
@@ -142,7 +131,8 @@ void Verifier::finalize(const std::vector<const Comm*>& comms) {
   for (const Request& op : tracked_) {
     if (op->complete && !op->waited) {
       std::ostringstream os;
-      os << "leaked request: rank " << op->ownerWorld << " " << op->what
+      os << "leaked request: rank " << op->ownerWorld << " "
+         << toString(op->kind)
          << "(peer=" << (op->peer == kAnySource ? std::string("ANY")
                                                 : std::to_string(op->peer))
          << ", tag=" << tagName(op->tag) << ", comm " << op->commId

@@ -21,8 +21,10 @@
 // inspected via defects() — which is how the fault-fuzz tests assert that
 // a faulted-but-correct program never trips the verifier.
 //
-// The verifier is strictly observational: it never schedules events or
-// perturbs timing, so enabling it cannot change simulated results.
+// The verifier is an smpi::Observer at the Check stage: it never
+// schedules events or perturbs timing, so enabling it cannot change
+// simulated results, and it sees each event after the analysis capture
+// has recorded it.
 
 #include <cstdint>
 #include <iosfwd>
@@ -31,17 +33,11 @@
 #include <string>
 #include <vector>
 
-#include "net/collective_model.hpp"
-#include "smpi/types.hpp"
+#include "smpi/observer.hpp"
 
 namespace bgp::smpi {
 
-class Comm;
-
 struct VerifierOptions {
-  bool checkCollectives = true;
-  bool checkP2p = true;
-  bool checkLeaks = true;
   bool failFast = true;  // throw VerifierError at the first defect
 };
 
@@ -51,25 +47,21 @@ class VerifierError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-class Verifier {
+class Verifier final : public Observer {
  public:
   explicit Verifier(VerifierOptions options);
 
-  const VerifierOptions& options() const { return options_; }
-
-  // ---- runtime hooks (called by Simulation; hot paths, keep cheap) --------
-  /// A rank arrived at its `seq`-th collective on `comm`; checks the
-  /// signature against the first arrival of that gate.
-  void onCollective(const Comm& comm, std::uint64_t seq, int commRank,
-                    net::CollKind kind, int root, ReduceOp rop,
-                    net::Dtype dt, double bytes);
-  /// A send/receive was created; the verifier tracks the request for
-  /// finalize-time leak checks.
-  void onSend(const Request& op);
-  void onRecv(const Request& op);
-  /// A receive matched a message; checks the declared expectation.
-  void onRecvMatched(const Comm& comm, int srcCommRank, int dstCommRank,
-                     int tag, double expectedBytes, double actualBytes);
+  // ---- Observer -----------------------------------------------------------
+  /// Tracks every send/receive for finalize-time leak checks.
+  void onIssue(const Comm& comm, const Request& op, sim::SimTime now) override;
+  /// Checks a receive's declared expectation against the sender's size.
+  void onMatch(const Comm& comm, const Request& sendOp,
+               const Request& recvOp) override;
+  /// Checks an arrival's signature against the gate's first arrival.
+  void onGateArrive(const Comm& comm, const CollGate& gate, int commRank,
+                    const CollSig& sig, sim::SimTime now) override;
+  /// Runs finalize() over every communicator of `sim`.
+  void onRunFinished(Simulation& sim, const RunResult& result) override;
 
   // ---- finalize -----------------------------------------------------------
   /// Run after a simulation completes without deadlock: scans every
@@ -84,22 +76,9 @@ class Verifier {
   void report(std::ostream& os) const;
 
  private:
-  struct CollSig {
-    net::CollKind kind{};
-    int root = 0;
-    ReduceOp rop = ReduceOp::None;
-    net::Dtype dt{};
-    double bytes = 0.0;
-    int firstRank = -1;
-    int arrived = 0;
-  };
-
   void defect(const std::string& msg);
 
   VerifierOptions options_;
-  // (commId, seq) -> signature of the gate's first arrival.  std::map keeps
-  // iteration deterministic for reporting.
-  std::map<std::pair<int, std::uint64_t>, CollSig> gates_;
   std::vector<Request> tracked_;      // every p2p request created
   std::map<int, std::uint64_t> activity_;  // commId -> operation count
   std::vector<std::string> defects_;

@@ -1,10 +1,28 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "support/expect.hpp"
 
 namespace bgp {
+
+namespace {
+
+[[noreturn]] void badValue(const std::string& key, const std::string& value,
+                           const char* expected) {
+  throw std::invalid_argument("--" + key + "=" + value + ": expected " +
+                              expected);
+}
+
+/// Whether strto* consumed all of `value` without a range error.
+bool parsedWhole(const std::string& value, const char* end) {
+  return !value.empty() && end == value.c_str() + value.size() &&
+         errno != ERANGE;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   BGP_REQUIRE(argc >= 1);
@@ -38,13 +56,23 @@ std::string Cli::get(const std::string& key,
 long Cli::getInt(const std::string& key, long fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  return std::strtol(it->second.c_str(), nullptr, 10);
+  const std::string& v = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long x = std::strtol(v.c_str(), &end, 10);
+  if (!parsedWhole(v, end)) badValue(key, v, "an integer in range");
+  return x;
 }
 
 double Cli::getDouble(const std::string& key, double fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string& v = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v.c_str(), &end);
+  if (!parsedWhole(v, end)) badValue(key, v, "a number in range");
+  return x;
 }
 
 bool Cli::getBool(const std::string& key, bool fallback) const {

@@ -1,6 +1,9 @@
 #pragma once
 // Minimal command-line parsing for the bench/example binaries.
 // Supports "--key=value", "--key value" and boolean "--flag" forms.
+// Unknown flags are ignored; a numeric flag whose value does not parse
+// completely, or is out of range, throws std::invalid_argument naming the
+// flag and the value.
 
 #include <map>
 #include <string>
@@ -14,6 +17,8 @@ class Cli {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// `fallback` when the flag is absent; throws std::invalid_argument when
+  /// its value is not entirely a (base-10) number in range.
   long getInt(const std::string& key, long fallback) const;
   double getDouble(const std::string& key, double fallback) const;
   bool getBool(const std::string& key, bool fallback = false) const;

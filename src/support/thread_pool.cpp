@@ -67,7 +67,12 @@ ThreadPool::ThreadPool(unsigned threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true);
+  {
+    // Under the wait mutex: a worker between its predicate check and its
+    // wait would otherwise miss the notify and never exit (lost wakeup).
+    std::lock_guard<std::mutex> lk(wakeMutex_);
+    stop_.store(true);
+  }
   wake_.notify_all();
   for (auto& t : threads_) t.join();
 }

@@ -119,6 +119,30 @@ TEST(CollectiveContract, DivergentSequenceIsLocalized) {
   EXPECT_FALSE(f.witness.empty());
 }
 
+// With a fail-fast verifier attached as well, the verifier aborts rank 2
+// at its divergent arrival.  The capture sees every event before the
+// verifier, so that arrival is still in the op-graph and the analyzer
+// names the kind divergence instead of a bare participation gap.
+sim::Task allreduceVersusBarrierProgram(Rank& self) {
+  if (self.id() == 2) {
+    co_await self.allreduce(8.0);
+  } else {
+    co_await self.barrier();
+  }
+}
+
+TEST(CollectiveContract, DivergenceLocalizedUnderFailFastVerifier) {
+  Simulation sim(arch::makeBGP(), 4);
+  Capture& capture = sim.enableCapture();
+  sim.enableVerifier();
+  EXPECT_THROW(sim.run(allreduceVersusBarrierProgram), VerifierError);
+  const Report report = analyze(capture.graph());
+  ASSERT_TRUE(hasPass(report, "collective-contract"));
+  EXPECT_EQ(findingOf(report, "collective-contract").title,
+            "collective sequence diverges at #0 on comm 0: operation kinds "
+            "differ");
+}
+
 // Root disagreement on an otherwise-uniform bcast: the gate model does
 // not abort (it keys on the kind), so only the static pass can see it.
 sim::Task divergentRootProgram(Rank& self) {
@@ -249,7 +273,7 @@ TEST(CleanPrograms, HaloWithAllreduceHasZeroFindings) {
 // ---- infrastructure ---------------------------------------------------------
 
 TEST(CaptureScope, CapturesSimulationsConstructedUnderIt) {
-  CaptureScope scope;
+  ObserverScope scope(ObserverScope::Attach::Capture);
   {
     Simulation sim(arch::makeBGP(), 4);
     sim.run([](Rank& self) -> sim::Task { co_await self.barrier(); });

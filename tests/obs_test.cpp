@@ -20,6 +20,7 @@ namespace {
 
 using arch::machineByName;
 using smpi::Rank;
+using smpi::ObserverScope;
 using smpi::Simulation;
 
 // The 3-rank oracle workload: a chain with a known compute-only
@@ -188,22 +189,24 @@ TEST(Obs, BreakdownSumsToMakespanTimesRanks) {
 TEST(Obs, SummarizeStatsMatchesSimulationProfile) {
   Simulation sim(machineByName("BG/P"), 8);
   sim.run(haloProgram);
-  const Simulation::Profile p = sim.profile();
+  const StatsSummary p = sim.profile();
   std::vector<smpi::RankStats> stats;
   for (int r = 0; r < 8; ++r) stats.push_back(sim.rankStats(r));
   const StatsSummary s = summarizeStats(stats.data(), stats.size());
   EXPECT_EQ(s.sends, p.sends);
+  EXPECT_EQ(s.recvs, p.recvs);
   EXPECT_EQ(s.collectives, p.collectives);
   EXPECT_EQ(s.bytesSent, p.bytesSent);
   EXPECT_EQ(s.computeSeconds, p.computeSeconds);
   EXPECT_EQ(s.p2pWaitSeconds, p.p2pWaitSeconds);
   EXPECT_EQ(s.collWaitSeconds, p.collWaitSeconds);
+  EXPECT_EQ(s.maxComputeSeconds, p.maxComputeSeconds);
   EXPECT_EQ(s.computeImbalance, p.computeImbalance);
   EXPECT_EQ(s.commFraction, p.commFraction);
 }
 
 TEST(Obs, ProfileScopeCapturesConstructedSimulations) {
-  ProfileScope scope;
+  ObserverScope scope(ObserverScope::Attach::Profile);
   {
     Simulation sim(machineByName("BG/P"), 4);
     sim.run(haloProgram);

@@ -8,7 +8,10 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
+#include <string>
 
+#include "arch/exec_mode.hpp"
 #include "arch/machines.hpp"
 #include "net/torus_network.hpp"
 #include "smpi/simulation.hpp"
@@ -279,8 +282,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FaultFuzzSeeds,
 
 // ---- machine x mode matrix ---------------------------------------------------------
 
+}  // namespace
+
+namespace arch {
+// Readable, address-free parameter names ("BG/P", SMP) for the test list.
+void PrintTo(ExecMode mode, std::ostream* os) { *os << toString(mode); }
+}  // namespace arch
+
+namespace {
+
 class MachineModeMatrix
-    : public ::testing::TestWithParam<std::tuple<const char*, arch::ExecMode>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, arch::ExecMode>> {
 };
 
 TEST_P(MachineModeMatrix, StencilProgramRunsEverywhere) {

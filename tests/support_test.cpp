@@ -6,6 +6,8 @@
 #include <cmath>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "support/cli.hpp"
 #include "support/expect.hpp"
@@ -251,6 +253,50 @@ TEST(Cli, FallbacksWhenMissing) {
   EXPECT_EQ(cli.getInt("n", 42), 42);
   EXPECT_DOUBLE_EQ(cli.getDouble("x", 2.5), 2.5);
   EXPECT_EQ(cli.get("s", "dflt"), "dflt");
+}
+
+// Expects `fn` to throw std::invalid_argument whose message names `needle`.
+template <typename F>
+void expectRejected(F fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected std::invalid_argument mentioning " << needle;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, RejectsTrailingGarbageNamingTheFlag) {
+  const char* argv[] = {"prog", "--ranks=1k", "--scale=2.5x"};
+  Cli cli(3, argv);
+  expectRejected([&] { cli.getInt("ranks", 0); }, "--ranks=1k");
+  expectRejected([&] { cli.getDouble("scale", 0.0); }, "--scale=2.5x");
+}
+
+TEST(Cli, RejectsNonNumericAndEmptyValues) {
+  const char* argv[] = {"prog", "--topk=abc", "--n=", "--flag"};
+  Cli cli(4, argv);
+  expectRejected([&] { cli.getInt("topk", 0); }, "--topk=abc");
+  expectRejected([&] { cli.getInt("n", 0); }, "--n=");
+  // A bare boolean flag has no number to read.
+  expectRejected([&] { cli.getDouble("flag", 1.0); }, "--flag=true");
+}
+
+TEST(Cli, RejectsOutOfRangeValues) {
+  const char* argv[] = {"prog", "--big=99999999999999999999999",
+                        "--huge=1e999"};
+  Cli cli(3, argv);
+  expectRejected([&] { cli.getInt("big", 0); }, "--big=");
+  expectRejected([&] { cli.getDouble("huge", 0.0); }, "--huge=1e999");
+}
+
+TEST(Cli, AcceptsSignedAndScientificValues) {
+  const char* argv[] = {"prog", "--maxops=-1", "--x=1.5e3"};
+  Cli cli(3, argv);
+  // Range policy belongs to the caller (bgpprof rejects maxops < 1).
+  EXPECT_EQ(cli.getInt("maxops", 0), -1);
+  EXPECT_DOUBLE_EQ(cli.getDouble("x", 0.0), 1500.0);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 // bgpprof: observability-plane profiler driver.
 //
-// Runs registered scenarios (the same registry smpilint uses) under an
-// obs::ProfileScope and exports what the profiling plane recorded:
+// Runs registered scenarios (the same registry smpilint uses) under a
+// profiling smpi::ObserverScope and exports what the profiling plane recorded:
 // per-rank time breakdowns, mpiP-style site aggregates, torus link
 // counters with a hot-link report, the executed run's critical path, and
 // logical-zeroing what-if estimates.  Exit status is the gate: 0 when
 // every selected scenario ran (and, with --selfcheck, every profile
 // passed its internal-consistency checks and reproduced byte-identical
-// JSON on a second run), 1 otherwise.
+// JSON on a second run), 1 otherwise, 2 on a malformed flag.
 //
 //   bgpprof --list                      # registry listing, no runs
 //   bgpprof --group=paper               # profile the paper scenarios
@@ -16,19 +16,23 @@
 //   bgpprof --trace=trace.json          # Chrome trace with counters
 //   bgpprof --text                      # full text report per profile
 //   bgpprof --selfcheck                 # determinism + invariant gate
-//   bgpprof --topk=20 --maxops=2000000  # knob overrides
+//   bgpprof --topk=20 --maxops=2000000  # knob overrides (op budget >= 1,
+//                                       # top-K >= 0)
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "smpi/analysis/scenarios.hpp"
+#include "smpi/simulation.hpp"
 #include "smpi/trace.hpp"
 #include "support/cli.hpp"
 
@@ -51,13 +55,14 @@ struct ScenarioProfiles {
   std::vector<bgp::obs::RunProfile> profiles;  // one per Simulation
 };
 
-/// Runs one scenario under a fresh ProfileScope and keeps the assembled
+/// Runs one scenario under a fresh profiling scope and keeps the assembled
 /// profiles (the Profilers die with the scope; RunProfile is plain data).
 ScenarioProfiles profileScenario(const Scenario& scenario,
                                  const bgp::obs::ProfileOptions& options) {
+  using bgp::smpi::ObserverScope;
   ScenarioProfiles out;
   out.name = scenario.name;
-  bgp::obs::ProfileScope scope(options);
+  ObserverScope scope(ObserverScope::Attach::Profile, options);
   try {
     scenario.run();
   } catch (const std::exception& e) {
@@ -106,9 +111,22 @@ int main(int argc, char** argv) {
   const bool selfcheck = cli.getBool("selfcheck");
 
   bgp::obs::ProfileOptions options;
-  options.topK = static_cast<int>(cli.getDouble("topk", options.topK));
-  options.maxOps = static_cast<std::size_t>(
-      cli.getDouble("maxops", static_cast<double>(options.maxOps)));
+  try {
+    const long topK = cli.getInt("topk", options.topK);
+    const long maxOps =
+        cli.getInt("maxops", static_cast<long>(options.maxOps));
+    if (topK < 0 || topK > std::numeric_limits<int>::max())
+      throw std::invalid_argument("--topk must be >= 0, got " +
+                                  std::to_string(topK));
+    if (maxOps < 1)
+      throw std::invalid_argument("--maxops must be >= 1, got " +
+                                  std::to_string(maxOps));
+    options.topK = static_cast<int>(topK);
+    options.maxOps = static_cast<std::size_t>(maxOps);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bgpprof: " << e.what() << "\n";
+    return 2;
+  }
 
   int ran = 0;
   int bad = 0;
