@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The one-command gate: default build + full ctest, sanitizer tier-1,
 # source lint, the smpilint paper-scenario sweep, the bgpprof
-# observability smoke (profile determinism + invariants), and the
-# perfledger suite plus a one-second correctness run of every benchmark
-# workload (pinned digests, profile completeness).  Green here means
-# shippable.
+# self-check (profile determinism + invariants) over every registry
+# scenario, and the perfledger suite plus a one-second correctness run of
+# every benchmark workload (pinned digests, profile completeness).  Green
+# here means shippable.
 #
 # Usage: scripts/check.sh [--skip-sanitize] [--skip-tsan]
 set -euo pipefail
@@ -53,9 +53,8 @@ scripts/lint.sh "$repo_root/build"
 echo "==> [5/7] smpilint over the paper scenarios"
 "$repo_root/build/tools/smpilint" --group=paper
 
-echo "==> [6/7] bgpprof observability smoke (halo + collectives)"
-"$repo_root/build/tools/bgpprof" --only=fig2_halo_isend --selfcheck
-"$repo_root/build/tools/bgpprof" --only=fig3_imb_collectives --selfcheck
+echo "==> [6/7] bgpprof self-check over every registry scenario"
+"$repo_root/build/tools/bgpprof" --selfcheck
 
 echo "==> [7/7] perfledger suite + one-second run of every workload"
 ledger_build="$repo_root/.bench_build/perfledger"

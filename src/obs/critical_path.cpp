@@ -19,7 +19,8 @@
 // compute and zeroes every transfer/collective span (the "infinitely
 // fast network" bound); zeroCompute keeps each network span at its
 // MEASURED duration — contention frozen as executed — and zeroes
-// compute.  Both are lower-bound estimates, not re-simulations.
+// compute.  Both are lower-bound estimates, not re-simulations, and each
+// is one forward pass over the op-graph in creation order.
 
 #include <algorithm>
 #include <cstddef>
@@ -70,9 +71,9 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
       break;
     }
     // Last item on `rank` beginning before t, skipping zero-width
-    // entries (issues, ready-at-await waits): they consume no time and
-    // hopping through one would teleport to a dependency that did not
-    // constrain this instant.
+    // entries (ready-at-await waits): they consume no time and hopping
+    // through one would teleport to a dependency that did not constrain
+    // this instant.
     const auto& list = items_[static_cast<std::size_t>(rank)];
     const auto firstAfter = std::lower_bound(
         list.begin(), list.end(), t,
@@ -80,7 +81,7 @@ void Profiler::computeCriticalPath(const smpi::RunResult& result) {
     const Item* item = nullptr;
     for (auto it = firstAfter; it != list.begin();) {
       --it;
-      if (it->kind != Item::Kind::Issue && it->end > it->begin) {
+      if (it->end > it->begin) {
         item = &*it;
         break;
       }
@@ -305,7 +306,7 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
   }
 
   // Replayed issue time per graph node (p2p issues only), -1 = not yet.
-  std::vector<double> newIssue(graph.nodes().size(), -1.0);
+  std::vector<double> newIssue(nodes.size(), -1.0);
 
   const auto replayedCompletion = [&](std::int32_t rec, double& out) {
     if (rec < 0) return false;
@@ -331,66 +332,52 @@ double Profiler::replay(bool zeroNetwork, bool zeroCompute) const {
     return true;
   };
 
-  // Sweep the per-rank item streams; a rank parks at a Block whose ops
-  // are not yet resolvable and is revisited next sweep.
-  std::vector<std::size_t> idx(static_cast<std::size_t>(n), 0);
+  // One pass over the graph in creation order, which is a topological
+  // order of every dependency replayed here (op_graph.hpp): whatever a
+  // node waits on was replayed before it.  A rank's compute spans run
+  // before its next node; `next` is its first compute span not yet run.
+  std::vector<std::size_t> next(static_cast<std::size_t>(n), 0);
   std::vector<double> clock(static_cast<std::size_t>(n), 0.0);
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int r = 0; r < n; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      const auto& list = items_[ri];
-      while (idx[ri] < list.size()) {
-        const Item& it = list[idx[ri]];
-        if (it.kind == Item::Kind::Compute) {
-          clock[ri] += zeroCompute ? 0.0 : (it.end - it.begin);
-        } else if (it.kind == Item::Kind::Issue) {
-          if (graph.node(it.rec).kind != smpi::OpKind::Coll) {
-            newIssue[static_cast<std::size_t>(it.rec)] = clock[ri];
-          } else if (const auto git = gatesR.find(recordOf(it.rec));
-                     git != gatesR.end()) {
-            GateReplay& g = git->second;
-            ++g.arrived;
-            g.maxArrival = std::max(g.maxArrival, clock[ri]);
-            if (g.arrived >= g.expected)
-              g.done = g.maxArrival + (zeroNetwork ? 0.0 : g.duration);
-          }
-        } else {  // Block
-          double until = clock[ri];
-          bool ok = true;
-          if (it.any) {
-            // Approximation: the replay resolves a waitAny against the
-            // op that actually fired in the executed schedule.
-            double c;
-            ok = replayedCompletion(it.rec, c);
-            if (ok) until = std::max(until, c);
-          } else {
-            const auto& wl = waitRecs_[ri];
-            for (std::uint32_t k = 0; ok && k < it.waitCount; ++k) {
-              double c;
-              if (!replayedCompletion(wl[it.firstWait + k], c)) {
-                ok = false;
-              } else {
-                until = std::max(until, c);
-              }
-            }
-          }
-          if (!ok) break;  // park; retry next sweep
-          clock[ri] = until;
-        }
-        ++idx[ri];
-        progress = true;
+  const auto computeBefore = [&](std::size_t ri, std::size_t id) {
+    const auto& list = items_[ri];
+    for (std::size_t& i = next[ri]; i < list.size(); ++i) {
+      const Item& it = list[i];
+      if (it.kind != Item::Kind::Compute) continue;
+      if (static_cast<std::size_t>(it.rec) > id) break;
+      clock[ri] += zeroCompute ? 0.0 : (it.end - it.begin);
+    }
+  };
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    const an::OpNode& node = nodes[id];
+    const auto ri = static_cast<std::size_t>(node.world);
+    computeBefore(ri, id);
+    if (node.kind == smpi::OpKind::Coll) {
+      const auto git = gatesR.find(recordOf(static_cast<std::int32_t>(id)));
+      if (git == gatesR.end()) continue;
+      GateReplay& g = git->second;
+      ++g.arrived;
+      g.maxArrival = std::max(g.maxArrival, clock[ri]);
+      if (g.arrived >= g.expected)
+        g.done = g.maxArrival + (zeroNetwork ? 0.0 : g.duration);
+    } else if (node.kind == smpi::OpKind::Wait) {
+      // A waitAny's node holds only the op that fired in the executed
+      // schedule, so the replay resolves it against that op.
+      double until = clock[ri];
+      for (const std::int32_t op : node.waited) {
+        double c;
+        if (!replayedCompletion(recordOf(op), c)) return -1.0;
+        until = std::max(until, c);
       }
+      clock[ri] = until;
+    } else {
+      newIssue[id] = clock[ri];
     }
   }
 
   double makespan = 0.0;
-  for (int r = 0; r < n; ++r) {
-    if (idx[static_cast<std::size_t>(r)] !=
-        items_[static_cast<std::size_t>(r)].size())
-      return -1.0;  // a dependency never resolved
-    makespan = std::max(makespan, clock[static_cast<std::size_t>(r)]);
+  for (std::size_t ri = 0; ri < clock.size(); ++ri) {
+    computeBefore(ri, nodes.size());
+    makespan = std::max(makespan, clock[ri]);
   }
   return makespan;
 }

@@ -51,7 +51,6 @@ Profiler::Profiler(smpi::Simulation& sim, ProfileOptions options)
   cap_->setMaxOps(options_.maxOps);
   const auto n = static_cast<std::size_t>(sim.nranks());
   items_.resize(n);
-  waitRecs_.resize(n);
   open_.assign(n, OpenBlock{});
   overlap_.assign(n, 0.0);
   sites_.assign(n, std::string());
@@ -83,8 +82,9 @@ bool Profiler::detailed() const {
   return !truncated_ && !cap_->graph().truncated();
 }
 
-void Profiler::checkBudget() {
-  if (itemCount_ >= cap_->maxOps() * 4) truncated_ = true;
+void Profiler::addItem(int rank, Item item) {
+  items_[static_cast<std::size_t>(rank)].push_back(item);
+  if (++itemCount_ >= cap_->maxOps() * 4) truncated_ = true;
 }
 
 void Profiler::histAdd(sim::SimTime t, double bytes) {
@@ -108,24 +108,14 @@ void Profiler::histAdd(sim::SimTime t, double bytes) {
 
 // ---- runtime hooks ----------------------------------------------------------
 
-std::int32_t Profiler::addIssue(int rank, sim::SimTime now) {
-  // The capture saw this event first and appended the op's node.
-  const auto id = static_cast<std::int32_t>(cap_->graph().nodes().size() - 1);
-  items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Issue, now, now, id, 0, 0, false});
-  ++itemCount_;
-  checkBudget();
-  return id;
-}
-
 void Profiler::onIssue(const smpi::Comm&, const smpi::Request& op,
-                       sim::SimTime now) {
-  const int rank = op->ownerWorld;
-  SiteAgg& agg = siteAgg(rank, smpi::toString(op->kind));
+                       sim::SimTime) {
+  SiteAgg& agg = siteAgg(op->ownerWorld, smpi::toString(op->kind));
   ++agg.count;
   agg.bytes += op->bytes;
   if (!detailed()) return;
-  const std::int32_t id = addIssue(rank, now);
+  // The capture saw this event first and stamped the op's node.
+  const std::int32_t id = op->recordId;
   // Completion stamp: registered at issue, so it takes the OpState's
   // inline continuation slot (a profile-on-only cost; the awaiter's
   // continuation spills to the vector).
@@ -137,12 +127,10 @@ void Profiler::onIssue(const smpi::Comm&, const smpi::Request& op,
 
 void Profiler::onGateArrive(const smpi::Comm& comm, const smpi::CollGate&,
                             int commRank, const smpi::CollSig& sig,
-                            sim::SimTime now) {
-  const int rank = comm.worldRank(commRank);
-  SiteAgg& agg = siteAgg(rank, collName(sig.kind));
+                            sim::SimTime) {
+  SiteAgg& agg = siteAgg(comm.worldRank(commRank), collName(sig.kind));
   ++agg.count;
   agg.bytes += sig.bytes;
-  if (detailed()) addIssue(rank, now);
 }
 
 void Profiler::onGateComplete(const smpi::Comm& comm,
@@ -166,10 +154,8 @@ void Profiler::onGateComplete(const smpi::Comm& comm,
 
 void Profiler::onCompute(int rank, sim::SimTime now, double seconds) {
   if (!detailed()) return;
-  items_[static_cast<std::size_t>(rank)].push_back(
-      Item{Item::Kind::Compute, now, now + seconds, -1, 0, 0, false});
-  ++itemCount_;
-  checkBudget();
+  const auto next = static_cast<std::int32_t>(cap_->graph().nodes().size());
+  addItem(rank, Item{now, now + seconds, next, Item::Kind::Compute});
 }
 
 void Profiler::onBlockBegin(int rank, sim::SimTime now) {
@@ -228,20 +214,7 @@ void Profiler::onWaitReturn(int rank, const std::vector<smpi::Request>& ops,
     siteAgg(rank, name).blockedSeconds += dur;
   }
 
-  if (!detailed()) return;
-  auto& wl = waitRecs_[static_cast<std::size_t>(rank)];
-  Item item;
-  item.kind = Item::Kind::Block;
-  item.begin = begin;
-  item.end = now;
-  item.rec = release;
-  item.firstWait = static_cast<std::uint32_t>(wl.size());
-  item.waitCount = static_cast<std::uint32_t>(recs.size());
-  item.any = any;
-  wl.insert(wl.end(), recs.begin(), recs.end());
-  items_[static_cast<std::size_t>(rank)].push_back(item);
-  itemCount_ += 1 + recs.size();
-  checkBudget();
+  if (detailed()) addItem(rank, Item{begin, now, release, Item::Kind::Block});
 }
 
 void Profiler::onRunFinished(smpi::Simulation&,
@@ -415,7 +388,6 @@ void Profiler::finalize(const smpi::RunResult& result) {
   // Release the detailed state; only the assembled RunProfile survives.
   sim_->system().torusNetwork().attachObserver(nullptr);
   items_.clear();
-  waitRecs_.clear();
   scratch_.clear();
   open_.clear();
   overlap_.clear();

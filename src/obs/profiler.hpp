@@ -34,10 +34,10 @@ class Rank;
 namespace bgp::obs {
 
 struct ProfileOptions {
-  /// Op budget of the profiled run's record (op-graph nodes; timeline
-  /// items get four times as many).  Past it the profile is marked
-  /// truncated and loses the critical path and what-ifs, but breakdowns
-  /// and counters stay exact.
+  /// Op budget of the profiled run's record (op-graph nodes; the
+  /// timeline's compute and block spans get four times as many).  Past
+  /// either the profile is marked truncated and loses the critical path
+  /// and what-ifs, but breakdowns and counters stay exact.
   std::size_t maxOps = smpi::analysis::kDefaultMaxOps;
   /// Hot links reported (top-K by busy time).
   int topK = 10;
@@ -89,20 +89,19 @@ class Profiler final : public smpi::Observer,
   const RunProfile& profile() const { return profile_; }
 
  private:
-  // One recorded timeline item.  Per rank, items append in program order
-  // (a rank is sequential), which the critical-path walk and the what-if
-  // replay both rely on.  `rec` is an op-graph node id (-1 = none): for
-  // Issue the rank's own send/recv/arrival node, for Block the record of
-  // the op that released the wait.
+  // One timeline span: a compute block, or a blocking wait (the capture's
+  // Wait node holds what it waited on).  Per rank, items append in
+  // program order (a rank is sequential), which the critical-path walk and
+  // the what-if replay both rely on.  `rec` ties the span to the op-graph:
+  // for Block the record of the op that released the wait (-1 = none),
+  // for Compute the graph's size when the span began, so the rank's
+  // nodes below it ran before the span and the rest after.
   struct Item {
-    enum class Kind : std::uint8_t { Compute, Block, Issue };
-    Kind kind = Kind::Issue;
+    enum class Kind : std::uint8_t { Compute, Block };
     sim::SimTime begin = 0.0;
-    sim::SimTime end = 0.0;        // Compute/Block only
+    sim::SimTime end = 0.0;
     std::int32_t rec = -1;
-    std::uint32_t firstWait = 0;   // Block: slice into waitRecs_
-    std::uint32_t waitCount = 0;
-    bool any = false;              // Block came from a waitAny
+    Kind kind = Kind::Compute;
   };
 
   struct SiteAgg {
@@ -122,9 +121,8 @@ class Profiler final : public smpi::Observer,
 
   /// Detailed recording is on until the shared op budget trips.
   bool detailed() const;
-  void checkBudget();
-  /// Appends an Issue item for the node the capture just recorded.
-  std::int32_t addIssue(int rank, sim::SimTime now);
+  /// Appends a timeline item and trips the budget once it is full.
+  void addItem(int rank, Item item);
   const std::string& siteOf(int rank) const {
     return sites_[static_cast<std::size_t>(rank)];
   }
@@ -155,9 +153,8 @@ class Profiler final : public smpi::Observer,
   bool truncated_ = false;
   bool finalized_ = false;
 
-  std::vector<std::vector<Item>> items_;            // per rank
-  std::vector<std::vector<std::int32_t>> waitRecs_;  // per rank
-  std::vector<std::int32_t> scratch_;               // onWaitReturn records
+  std::vector<std::vector<Item>> items_;  // per rank
+  std::vector<std::int32_t> scratch_;     // onWaitReturn records
   std::size_t itemCount_ = 0;
 
   struct OpenBlock {

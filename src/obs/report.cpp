@@ -4,7 +4,6 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
-#include <tuple>
 
 #include "smpi/trace.hpp"
 #include "support/json.hpp"
@@ -371,25 +370,21 @@ std::vector<std::string> selfCheck(const RunProfile& p) {
 
 void writeAggregateJson(std::ostream& os,
                         const std::vector<const RunProfile*>& profiles) {
-  std::vector<const RunProfile*> sorted;
-  sorted.reserve(profiles.size());
-  for (const RunProfile* p : profiles)
-    if (p) sorted.push_back(p);
-  // Thread-pool completion order must not leak into the bytes: order by
-  // profile content.
-  std::sort(sorted.begin(), sorted.end(),
-            [](const RunProfile* a, const RunProfile* b) {
-              const auto keyOf = [](const RunProfile* p) {
-                return std::make_tuple(p->nranks, p->makespan,
-                                       p->computeTotal, p->p2pBlockedTotal,
-                                       p->collBlockedTotal, p->engine.events);
-              };
-              return keyOf(a) < keyOf(b);
-            });
+  // Thread-pool completion order must not leak into the bytes: order the
+  // profiles by their own serialized bytes.
+  std::vector<std::string> objects;
+  objects.reserve(profiles.size());
+  for (const RunProfile* p : profiles) {
+    if (!p) continue;
+    std::ostringstream one;
+    writeProfileObject(one, *p, std::string());
+    objects.push_back(std::move(one).str());
+  }
+  std::sort(objects.begin(), objects.end());
   os << "{\"schema\":\"bgp.obs.profile-set/1\",\"profiles\":[";
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
+  for (std::size_t i = 0; i < objects.size(); ++i) {
     if (i) os << ',';
-    writeProfileObject(os, *sorted[i], std::string());
+    os << objects[i];
   }
   os << "]}\n";
 }

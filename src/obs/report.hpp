@@ -40,8 +40,8 @@ void emitCounters(smpi::Tracer& tracer, const RunProfile& p);
 std::vector<std::string> selfCheck(const RunProfile& p);
 
 /// Aggregate document (schema "bgp.obs.profile-set/1") over many
-/// profiles, sorted by content (nranks, makespan, totals, event count)
-/// so thread-pool completion order cannot leak into the bytes.
+/// profiles, ordered by each profile's serialized bytes so thread-pool
+/// completion order cannot leak into the output.
 void writeAggregateJson(std::ostream& os,
                         const std::vector<const RunProfile*>& profiles);
 

@@ -35,11 +35,8 @@ std::int32_t Capture::add(OpNode n) {
 }
 
 std::int32_t Capture::idOf(int world, const OpState& op) const {
-  if (op.kind != OpKind::Coll) {
-    const auto it = byOp_.find(&op);
-    return it == byOp_.end() ? -1 : it->second;
-  }
-  // The shared gate op has no byOp_ entry; find this rank's arrival.
+  if (op.kind != OpKind::Coll) return op.recordId;
+  // The shared gate op stands for every member; find this rank's arrival.
   const std::int32_t last = lastArrival_[static_cast<std::size_t>(world)];
   if (last >= 0) {
     const OpNode& a = graph_.node(last);
@@ -65,8 +62,7 @@ void Capture::onIssue(const Comm& comm, const Request& op, sim::SimTime now) {
   n.bytes = op->bytes;
   n.expectedBytes = op->expectedBytes;
   n.time = now;
-  byOp_.emplace(op.get(), add(std::move(n)));
-  pinned_.push_back(op);
+  op->recordId = add(std::move(n));
 }
 
 void Capture::onGateArrive(const Comm& comm, const CollGate& gate,

@@ -18,14 +18,13 @@
 // events, so a captured run produces the same simulated timings as an
 // uncaptured one.
 //
-// Cost when on: one OpNode per send/recv/collective-arrival/wait plus a
-// pinned Request per p2p op (pinning keeps arena-recycled OpState
-// addresses unique for the lifetime of the capture).  A run that exceeds
-// the op budget stops recording and marks the graph truncated —
-// reported, never silent.
+// Cost when on: one OpNode per send/recv/collective-arrival/wait.  A
+// send/recv carries its node id on its OpState (OpState::recordId), so the
+// capture keeps no reference to the op and it is freed as in an
+// uncaptured run.  A run that exceeds the op budget stops recording and
+// marks the graph truncated — reported, never silent.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "smpi/analysis/op_graph.hpp"
@@ -75,8 +74,6 @@ class Capture final : public Observer {
   // almost always returns the gate it joined last, so this resolves it
   // without scanning the gate's arrival list.
   std::vector<std::int32_t> lastArrival_;
-  std::unordered_map<const OpState*, std::int32_t> byOp_;
-  std::vector<Request> pinned_;
 };
 
 }  // namespace bgp::smpi::analysis

@@ -90,6 +90,7 @@ struct OpState {
   int peer = -1;                // comm rank of the counterparty (or wildcard)
   int tag = -1;                 // tag (or kAnyTag for receives)
   int commId = -1;              // communicator the op runs in
+  std::int32_t recordId = -1;   // send/recv: its op-graph node when captured
   std::uint64_t collSeq = 0;    // collective sequence number (collectives)
   double bytes = 0.0;           // message / collective payload size
   double expectedBytes = -1.0;  // receive: declared expectation (<0 = none)

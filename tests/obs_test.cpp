@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -66,6 +68,40 @@ sim::Task haloProgram(Rank& self) {
       co_await self.allreduce(8.0);
     }
   }
+}
+
+// Rank 0 collects one ANY_SOURCE message from every other rank with
+// waitAny, in whatever order they land; odd senders go eager, even ones
+// rendezvous.  Then every rank pairs a receive and a send in one waitAny,
+// waits for an eager and a rendezvous exchange with both neighbours in
+// one waitAll, and finishes with an allreduce.
+sim::Task waitAnyProgram(Rank& self) {
+  const int n = self.size();
+  if (self.id() == 0) {
+    std::vector<smpi::Request> rs;
+    for (int k = 1; k < n; ++k) rs.push_back(self.irecv(smpi::kAnySource, 7));
+    while (!rs.empty()) {
+      const std::size_t i = co_await self.waitAny(rs);
+      rs.erase(rs.begin() + static_cast<std::ptrdiff_t>(i));
+      co_await self.compute(2e-6);
+    }
+  } else {
+    co_await self.compute(1e-6 * ((self.id() * 5) % 7));
+    co_await self.send(0, self.id() % 2 ? 512.0 : 65536.0, 7);
+  }
+  const int right = (self.id() + 1) % n;
+  const int left = (self.id() + n - 1) % n;
+  std::vector<smpi::Request> rs{self.irecv(left, 3),
+                                self.isend(right, 4096.0, 3)};
+  co_await self.compute(1e-6 * (1 + self.id() % 3));
+  const std::size_t first = co_await self.waitAny(rs);
+  co_await self.wait(rs[1 - first]);
+  std::vector<smpi::Request> all{
+      self.irecv(left, 5), self.irecv(right, 5), self.isend(right, 512.0, 5),
+      self.isend(left, 65536.0, 5)};
+  co_await self.compute(1e-6 * (1 + (self.id() * 3) % 4));
+  co_await self.waitAll(all);
+  co_await self.allreduce(8.0);
 }
 
 TEST(Obs, TracerEscapesHostileNames) {
@@ -153,6 +189,82 @@ TEST(Obs, OracleCriticalPathAndWhatIfs) {
   EXPECT_NEAR(p.whatIf.zeroCompute, result.makespan - 3.0, 1e-12);
 
   EXPECT_TRUE(selfCheck(p).empty());
+}
+
+// The critical path and what-ifs of a waitAny / waitAll / ANY_SOURCE /
+// eager plus rendezvous program, pinned bit for bit.
+TEST(Obs, WaitAnyAndWaitAllPathAndWhatIfsArePinned) {
+  Simulation sim(machineByName("BG/P"), 9);
+  sim.enableProfile();
+  const auto result = sim.run(waitAnyProgram);
+  const RunProfile& p = sim.profiler()->profile();
+  ASSERT_FALSE(p.truncated);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  ASSERT_TRUE(p.critical.complete);
+  EXPECT_EQ(bits(p.critical.length), bits(result.makespan));
+  EXPECT_EQ(bits(p.critical.compute), bits(0x1.0c6f7a0b5ed8ap-17));
+  EXPECT_EQ(bits(p.critical.serialization), bits(0x1.792ffa0bc045cp-12));
+  EXPECT_EQ(bits(p.critical.latency), bits(0x1.f44759dfb4716p-16));
+  EXPECT_EQ(bits(p.critical.queueing), bits(0x1.671860a740e4p-13));
+  EXPECT_EQ(bits(p.critical.unattributed), bits(0.0));
+  EXPECT_EQ(p.critical.segments.size(), 11u);
+
+  ASSERT_TRUE(p.whatIf.valid);
+  EXPECT_EQ(bits(p.whatIf.zeroNetwork), bits(0x1.6052502eec7c1p-16));
+  EXPECT_EQ(bits(p.whatIf.zeroCompute), bits(0x1.26004ffeadff7p-11));
+  EXPECT_EQ(bits(result.makespan), bits(0x1.2a320de6db7adp-11));
+  EXPECT_TRUE(selfCheck(p).empty());
+}
+
+// A budget far below the run: the profile says so, keeps its exact
+// breakdown, drops the path and what-ifs, and the run is unchanged.
+TEST(Obs, TruncatedProfileKeepsBreakdownAndDropsPath) {
+  smpi::RunResult plain;
+  {
+    Simulation sim(machineByName("BG/P"), 16);
+    plain = sim.run(haloProgram);
+  }
+  Simulation sim(machineByName("BG/P"), 16);
+  ProfileOptions options;
+  options.maxOps = 40;
+  sim.enableProfile(options);
+  const auto result = sim.run(haloProgram);
+  const RunProfile& p = sim.profiler()->profile();
+
+  EXPECT_TRUE(p.truncated);
+  ASSERT_EQ(p.ranks.size(), 16u);
+  for (const RankBreakdown& r : p.ranks)
+    EXPECT_NEAR(r.compute + r.p2pBlocked + r.collBlocked + r.idle,
+                result.makespan, 1e-12 * result.makespan);
+  EXPECT_FALSE(p.critical.complete);
+  EXPECT_TRUE(p.critical.segments.empty());
+  EXPECT_FALSE(p.whatIf.valid);
+  EXPECT_TRUE(selfCheck(p).empty());
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.makespan),
+            std::bit_cast<std::uint64_t>(plain.makespan));
+  EXPECT_EQ(result.events, plain.events);
+  ASSERT_EQ(result.finishTimes.size(), plain.finishTimes.size());
+  for (std::size_t r = 0; r < plain.finishTimes.size(); ++r)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.finishTimes[r]),
+              std::bit_cast<std::uint64_t>(plain.finishTimes[r]));
+}
+
+// Profiles that agree on size, makespan, time totals and event count but
+// not on link counters: the aggregate must not depend on input order.
+TEST(Obs, AggregateJsonIgnoresInputOrder) {
+  RunProfile a;
+  a.nranks = 4;
+  a.makespan = 1.5;
+  a.engine.events = 100;
+  RunProfile b = a;
+  a.net.linkClaims = 7;
+  b.net.linkClaims = 9;
+  std::ostringstream ab, ba;
+  writeAggregateJson(ab, {&a, &b});
+  writeAggregateJson(ba, {&b, &a});
+  EXPECT_EQ(ab.str(), ba.str());
 }
 
 TEST(Obs, BreakdownSumsToMakespanTimesRanks) {

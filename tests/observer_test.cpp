@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -217,6 +218,43 @@ TEST(Observer, NoCombinationOfObserversChangesTheRun) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(r.finishTimes[i]),
                 std::bit_cast<std::uint64_t>(base.finishTimes[i]))
           << "rank " << i;
+  }
+}
+
+// Every send and receive the program issues, held only weakly.
+sim::Task issueAndForget(Rank& self,
+                         std::vector<std::weak_ptr<OpState>>* seen) {
+  const int n = self.size();
+  const int right = (self.id() + 1) % n;
+  const int left = (self.id() + n - 1) % n;
+  for (int iter = 0; iter < 3; ++iter) {
+    const double bytes = iter == 1 ? 1 << 20 : 512.0;  // rendezvous once
+    std::vector<Request> rs{self.irecv(left, iter),
+                            self.isend(right, bytes, iter)};
+    for (const Request& r : rs) seen->push_back(r);
+    const std::size_t first = co_await self.waitAny(rs);
+    co_await self.wait(rs[1 - first]);
+  }
+  co_await self.allreduce(8.0);
+}
+
+// Observing a run must not keep its finished operations alive: with the
+// verifier off, nothing holds a Request once the program drops it.
+TEST(Observer, CapturedAndProfiledRunsFreeTheirRequests) {
+  for (const bool profile : {false, true}) {
+    SCOPED_TRACE(profile ? "profiled" : "captured");
+    Simulation sim(arch::machineByName("BG/P"), 8);
+    if (profile) {
+      sim.enableProfile();
+    } else {
+      sim.enableCapture();
+    }
+    std::vector<std::weak_ptr<OpState>> seen;
+    sim.run([&seen](Rank& self) { return issueAndForget(self, &seen); });
+    ASSERT_EQ(seen.size(), 8u * 3u * 2u);
+    for (std::size_t i = 0; i < seen.size(); ++i)
+      EXPECT_TRUE(seen[i].expired()) << "request " << i;
+    EXPECT_FALSE(sim.capture()->graph().nodes().empty());
   }
 }
 
